@@ -4,16 +4,31 @@
 // map the paper's Table 1 implies: exact Gram at coarse accuracy
 // (1/eps >= d), sampling for weak-guarantee fleets, FD in the
 // deterministic column, SVS/adaptive in the randomized sweet spot.
+// "Cheapest" is the auto-configurer's solve with no budget and analytic
+// bounds only; the audit runs BuildProtocol on the ranked front.
 
 #include <cstdio>
 #include <string>
 
+#include "autoconf/protocol_factory.h"
+#include "autoconf/solver.h"
 #include "bench/bench_util.h"
-#include "dist/protocol_planner.h"
 #include "workload/generators.h"
 
 namespace distsketch {
 namespace {
+
+autoconf::ConfigPlan Cheapest(size_t s, size_t d, double eps, size_t k) {
+  autoconf::AutoConfRequest request;
+  request.goal.eps = eps;
+  request.goal.k = k;
+  request.shape.num_servers = s;
+  request.shape.dim = d;
+  request.trust_calibration = false;
+  auto plan = autoconf::SolveSketchConfig(request, nullptr);
+  DS_CHECK(plan.ok());
+  return std::move(*plan);
+}
 
 void RegimeMap(size_t k) {
   const size_t d = 96;
@@ -25,12 +40,8 @@ void RegimeMap(size_t k) {
   for (size_t s : {2u, 8u, 32u, 128u, 512u, 2048u}) {
     std::printf("  %-10zu", s);
     for (double eps : epsilons) {
-      SketchRequest req;
-      req.eps = eps;
-      req.k = k;
-      auto plan = PlanSketchProtocol(s, d, req);
-      DS_CHECK(plan.ok());
-      std::printf("%-16s", std::string(plan->protocol->Name()).c_str());
+      const autoconf::ConfigPlan plan = Cheapest(s, d, eps, k);
+      std::printf("%-16s", plan.best().config.family.c_str());
     }
     std::printf("\n");
   }
@@ -42,22 +53,19 @@ void AuditPredictions() {
       {.rows = 2048, .cols = 48, .alpha = 0.8, .seed = 1});
   for (size_t s : {4u, 16u, 64u}) {
     for (double eps : {0.2, 0.1}) {
-      SketchRequest req;
-      req.eps = eps;
-      req.k = 0;
-      auto plan = PlanSketchProtocol(s, 48, req);
-      DS_CHECK(plan.ok());
+      const autoconf::ConfigPlan plan = Cheapest(s, 48, eps, 0);
+      auto protocol = autoconf::BuildProtocol(plan.best().config, 42);
+      DS_CHECK(protocol.ok());
       Cluster cluster = bench::MakeCluster(a, s, eps);
-      auto result = plan->protocol->Run(cluster);
+      auto result = (*protocol)->Run(cluster);
       DS_CHECK(result.ok());
+      const double predicted = plan.best().cost.total_words;
       std::printf(
           "    s=%-4zu eps=%-5.3g chose %-13s predicted=%-9.0f "
           "measured=%-9llu (%.2fx)\n",
-          s, eps, std::string(plan->protocol->Name()).c_str(),
-          plan->predicted_words,
+          s, eps, std::string((*protocol)->Name()).c_str(), predicted,
           static_cast<unsigned long long>(result->comm.total_words),
-          static_cast<double>(result->comm.total_words) /
-              plan->predicted_words);
+          static_cast<double>(result->comm.total_words) / predicted);
     }
   }
 }

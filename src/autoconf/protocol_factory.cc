@@ -1,7 +1,5 @@
 #include "autoconf/protocol_factory.h"
 
-#include <cmath>
-
 #include "dist/adaptive_sketch_protocol.h"
 #include "dist/countsketch_protocol.h"
 #include "dist/exact_gram_protocol.h"
@@ -14,7 +12,7 @@ namespace autoconf {
 
 StatusOr<std::unique_ptr<SketchProtocol>> BuildProtocol(
     const SketchConfig& config, uint64_t seed) {
-  if (config.working_eps <= 0.0 || config.working_eps >= 1.0) {
+  if (!(config.working_eps > 0.0 && config.working_eps < 1.0)) {
     return Status::InvalidArgument(
         "BuildProtocol: working_eps not in (0,1) for family " + config.family);
   }
@@ -68,25 +66,6 @@ StatusOr<std::unique_ptr<SketchProtocol>> BuildProtocol(
   }
   return Status::InvalidArgument("BuildProtocol: unknown family " +
                                  config.family);
-}
-
-size_t FamilySketchRows(const std::string& family, double eps, size_t k,
-                        size_t dim) {
-  if (family == "fd_merge") {
-    return k == 0 ? static_cast<size_t>(std::ceil(1.0 / eps)) + 1
-                  : k + static_cast<size_t>(std::ceil(k / eps));
-  }
-  if (family == "exact_gram") return dim;
-  if (family == "countsketch") {
-    return static_cast<size_t>(std::ceil(4.0 / (eps * eps)));
-  }
-  if (family == "row_sampling") {
-    return static_cast<size_t>(std::ceil(2.0 / (eps * eps)));
-  }
-  // svs / adaptive_sketch: the expected number of sampled rows is
-  // instance-dependent; report the FD-equivalent l for the table.
-  return k == 0 ? static_cast<size_t>(std::ceil(1.0 / eps)) + 1
-                : k + static_cast<size_t>(std::ceil(k / eps));
 }
 
 std::string FamilyKey(const SketchConfig& config) {

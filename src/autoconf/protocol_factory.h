@@ -8,6 +8,7 @@
 #include "autoconf/config_plan.h"
 #include "common/status.h"
 #include "dist/protocol.h"
+#include "dist/protocol_planner.h"
 
 namespace distsketch {
 namespace autoconf {
@@ -20,11 +21,9 @@ namespace autoconf {
 StatusOr<std::unique_ptr<SketchProtocol>> BuildProtocol(
     const SketchConfig& config, uint64_t seed);
 
-/// Rows (FD l / CountSketch buckets m / expected samples t) of the
-/// family's uplink message at `eps` — the l knob of Table 1 the solver
-/// reports in SketchConfig::sketch_rows.
-size_t FamilySketchRows(const std::string& family, double eps, size_t k,
-                        size_t dim);
+/// The l knob of Table 1 the solver reports in SketchConfig::sketch_rows
+/// (defined beside the cost oracle that prices it).
+using ::distsketch::FamilySketchRows;
 
 /// The calibration/predictor key of a configuration: the family plus the
 /// knobs that change its measured behaviour ("fd_merge_q" for the

@@ -4,12 +4,15 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <vector>
 
 #include "autoconf/protocol_factory.h"
 #include "dist/protocol_planner.h"
 #include "sketch/quantizer.h"
+#include "telemetry/span.h"
+#include "telemetry/telemetry.h"
 
 namespace distsketch {
 namespace autoconf {
@@ -52,18 +55,22 @@ double MessageWords(const SketchConfig& config, size_t d) {
 
 // Table 1 words for the family via the protocol_planner cost oracle.
 double OracleTotalWords(const SketchConfig& config, size_t s, size_t d) {
-  SketchRequest req;
-  req.eps = config.working_eps;
-  req.k = config.k;
-  req.delta = config.delta;
+  SketchGoal goal;
+  goal.eps = config.working_eps;
+  goal.k = config.k;
+  goal.delta = config.delta;
   if (config.family == "exact_gram") return PredictExactGramWords(s, d);
-  if (config.family == "fd_merge") return PredictFdMergeWords(s, d, req);
+  if (config.family == "fd_merge") return PredictFdMergeWords(s, d, goal);
   if (config.family == "row_sampling") {
-    return PredictRowSamplingWords(s, d, req);
+    return PredictRowSamplingWords(s, d, goal);
   }
-  if (config.family == "svs") return PredictSvsWords(s, d, req);
-  if (config.family == "adaptive_sketch") return PredictAdaptiveWords(s, d, req);
-  return PredictCountSketchWords(s, d, req);
+  if (config.family == "svs") {
+    return PredictSvsWords(s, d, goal, config.sampling);
+  }
+  if (config.family == "adaptive_sketch") {
+    return PredictAdaptiveWords(s, d, goal);
+  }
+  return PredictCountSketchWords(s, d, goal);
 }
 
 // §3.3 bit width of the quantized fd_merge uplink (analytic fallback
@@ -201,6 +208,36 @@ std::string Rationale(const ConfigCandidate& c, const SketchGoal& goal) {
   return out.str();
 }
 
+// The planner/plan span records the full decision — instance shape, the
+// cheapest predicted words of every candidate family, and the winner with
+// its rationale — and the planner.* counters tally the picks.
+void RecordDecision(const ConfigPlan& plan, telemetry::Span& span) {
+  if (!span.active()) return;
+  const ConfigCandidate& best = plan.best();
+  telemetry::Count("planner.plans");
+  telemetry::Count("planner.pick." + best.config.family);
+  span.SetAttr("s", static_cast<uint64_t>(plan.shape.num_servers));
+  span.SetAttr("d", static_cast<uint64_t>(plan.shape.dim));
+  span.SetAttr("eps", plan.goal.eps);
+  span.SetAttr("k", static_cast<uint64_t>(plan.goal.k));
+  span.SetAttr("allow_randomized",
+               plan.goal.allow_randomized ? "true" : "false");
+  std::map<std::string, double> family_words;
+  for (const ConfigCandidate& c : plan.ranked) {
+    auto [it, fresh] =
+        family_words.emplace(c.config.family, c.cost.total_words);
+    if (!fresh) it->second = std::min(it->second, c.cost.total_words);
+  }
+  for (const auto& [family, words] : family_words) {
+    span.SetAttr("words." + family, words);
+  }
+  span.SetAttr("chosen", best.config.family);
+  span.SetAttr("predicted_words", best.cost.total_words);
+  span.SetAttr("topology", TopologyKindName(best.config.topology.kind));
+  span.SetAttr("coordinator_words", best.cost.coordinator_words);
+  span.SetAttr("rationale", best.rationale);
+}
+
 }  // namespace
 
 StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
@@ -210,12 +247,14 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
   if (shape.num_servers < 1 || shape.dim < 1) {
     return Status::InvalidArgument("SolveSketchConfig: bad instance shape");
   }
-  if (goal.eps <= 0.0 || goal.eps >= 1.0) {
+  if (!(goal.eps > 0.0 && goal.eps < 1.0)) {
     return Status::InvalidArgument("SolveSketchConfig: eps not in (0,1)");
   }
-  if (goal.delta <= 0.0 || goal.delta >= 1.0) {
+  if (!(goal.delta > 0.0 && goal.delta < 1.0)) {
     return Status::InvalidArgument("SolveSketchConfig: delta not in (0,1)");
   }
+
+  telemetry::Span span("planner/plan", telemetry::Phase::kCompute);
 
   // Family variants the goal admits (family, sampling kind, quantized).
   struct Variant {
@@ -344,7 +383,10 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
 
   // Rank: feasible before infeasible; feasible by the budgeted cost
   // dimension, infeasible by how close they come (largest headroom
-  // first). Every tie breaks on the deterministic candidate key.
+  // first). Equal total words break on the critical path (topologies of
+  // one family tie on words; the shallowest schedule that still beats
+  // the star's serialized receives wins), then on the deterministic
+  // candidate key.
   const Budget& budget = request.budget;
   std::stable_sort(
       plan.ranked.begin(), plan.ranked.end(),
@@ -360,8 +402,12 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
         if (a.cost.total_words != b.cost.total_words) {
           return a.cost.total_words < b.cost.total_words;
         }
+        if (a.cost.critical_path_words != b.cost.critical_path_words) {
+          return a.cost.critical_path_words < b.cost.critical_path_words;
+        }
         return CandidateKey(a.config) < CandidateKey(b.config);
       });
+  RecordDecision(plan, span);
   return plan;
 }
 

@@ -25,14 +25,20 @@ struct AutoConfRequest {
   bool trust_calibration = true;
 };
 
-/// Solves goal x budget -> ranked sketch configurations.
+/// Solves goal x budget -> ranked sketch configurations. This is the one
+/// protocol chooser: "the cheapest protocol for an instance" is a solve
+/// with an unconstrained Budget and trust_calibration = false, built
+/// with BuildProtocol(plan.best().config, seed).
 ///
 /// The search space is protocol family x working_eps x sampling function
 /// x quantization x merge topology, priced through the protocol_planner
 /// cost oracle (Table 1 word formulas, topology inbound/critical-path
 /// model) and the calibrated error predictor. A pure single-threaded
 /// function of its inputs: the returned plan (and PlanSummary) is
-/// byte-identical at any DS_THREADS.
+/// byte-identical at any DS_THREADS. With telemetry enabled the decision
+/// is recorded in a "planner/plan" span (instance, cheapest words per
+/// family, winner, rationale) and the planner.plans /
+/// planner.pick.<family> counters.
 ///
 /// Errors: InvalidArgument for malformed inputs; FailedPrecondition when
 /// the goal itself is unsatisfiable by any family (e.g. a deterministic

@@ -17,6 +17,7 @@ namespace distsketch {
 
 StatusOr<SketchProtocolResult> AdaptiveSketchProtocol::Run(Cluster& cluster) {
   cluster.ResetLog();
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   ProtocolRunScope run_scope(cluster, "adaptive_sketch");
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();

@@ -56,10 +56,19 @@ class Server {
 };
 
 /// The simulated message-passing cluster of the paper's model: `s`
-/// servers holding a row partition of A, one coordinator, point-to-point
-/// channels metered by a CommLog. The substitution for a physical cluster
-/// is documented in DESIGN.md: the paper's complexity measure is words
-/// exchanged, which the simulation meters exactly.
+/// servers holding a partition of A, one coordinator, point-to-point
+/// channels metered by a CommLog. The substitution for a physical
+/// cluster is documented in DESIGN.md: the paper's complexity measure is
+/// words exchanged, which the simulation meters exactly.
+///
+/// The partition model is a property of the input, fixed at creation:
+/// a row partition (every row of A on exactly one server, the paper's
+/// model), or the *arbitrary partition* of Boutsidis et al. [5] that the
+/// paper's conclusion poses as an open question (CreateAdditive: every
+/// server holds an n-by-d share A^(i) and A = sum_i A^(i) entry-wise).
+/// Local Grams do not add up under additive shares (A^T A has cross
+/// terms), so only sketches linear in A (CountSketch) run there; the
+/// row-based protocols refuse such a cluster (RequireRowPartition).
 class Cluster {
  public:
   /// Builds a cluster from a row partition (one matrix per server; all
@@ -75,11 +84,22 @@ class Cluster {
   static StatusOr<Cluster> CreateSparse(std::vector<Matrix> parts,
                                         double eps_hint, double tol = 0.0);
 
+  /// Builds an arbitrary-partition cluster: server i holds the n-by-d
+  /// share `shares[i]` and the input is their entry-wise sum. All shares
+  /// must have the same non-empty shape; the cost model is (n, d,
+  /// eps_hint). A permanently lost share makes the sum unrecoverable, so
+  /// protocols answer Unavailable instead of degrading.
+  static StatusOr<Cluster> CreateAdditive(std::vector<Matrix> shares,
+                                          double eps_hint);
+
   size_t num_servers() const { return servers_.size(); }
   /// Row dimension d.
   size_t dim() const { return dim_; }
-  /// Total rows across servers.
+  /// Rows n of A: the sum of local row counts, or the common share
+  /// height of an additive cluster.
   size_t total_rows() const { return total_rows_; }
+  /// True iff the servers hold additive shares (CreateAdditive).
+  bool additive() const { return additive_; }
 
   const Server& server(size_t i) const { return servers_[i]; }
 
@@ -135,17 +155,19 @@ class Cluster {
   /// TrySubmit + a loop thread.
   ChannelTransport& channel() { return *channel_; }
 
-  /// Reassembles the full input [A^(1); ...; A^(s)] (test/bench oracle —
-  /// a real coordinator never sees this).
+  /// Reassembles the full input — [A^(1); ...; A^(s)], or sum_i A^(i)
+  /// on an additive cluster (test/bench oracle — a real coordinator
+  /// never sees this).
   Matrix AssembleGroundTruth() const;
 
  private:
   Cluster(std::vector<Server> servers, size_t dim, size_t total_rows,
-          CostModel cost_model);
+          CostModel cost_model, bool additive);
 
   std::vector<Server> servers_;
   size_t dim_;
   size_t total_rows_;
+  bool additive_;
   CostModel cost_model_;
   // Heap-pinned so the channel's wire closure (which captures the raw
   // pointer) survives moves of the Cluster. Declared before channel_:

@@ -1,6 +1,7 @@
 #include "dist/countsketch_protocol.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,13 +16,21 @@
 namespace distsketch {
 namespace {
 
-/// Global row index of a server-local row: locally computable, distinct
-/// across servers (local counts stay far below 2^32), and stable under
-/// re-partitioning by whole shards — the properties the shared hash
-/// needs. Documented with the protocol in DESIGN.md §14.
-inline uint64_t GlobalRowIndex(size_t server, size_t local_row) {
-  return (static_cast<uint64_t>(server) << 32) |
-         static_cast<uint64_t>(local_row);
+/// High bits of the global row index of server `server`'s rows. Under a
+/// row partition a row is named (server << 32) | local_row: locally
+/// computable, distinct across servers (local counts stay far below
+/// 2^32), and stable under re-partitioning by whole shards — the
+/// properties the shared hash needs. Under an additive partition row r
+/// of every share is the same row of A, so the index is r itself and the
+/// shares' buckets add up to S A. Documented in DESIGN.md §14.
+inline uint64_t RowIndexBase(const Cluster& cluster, size_t server) {
+  return cluster.additive() ? 0 : static_cast<uint64_t>(server) << 32;
+}
+
+Status LostShare(size_t server) {
+  return Status::Unavailable(
+      "countsketch: share " + std::to_string(server) +
+      " permanently lost; the additive sum is unrecoverable");
 }
 
 }  // namespace
@@ -35,7 +44,7 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   const bool ft = cluster.fault_mode();
   log.BeginRound();
 
-  if (options_.eps <= 0.0 || options_.oversample <= 0.0) {
+  if (!(options_.eps > 0.0) || !(options_.oversample > 0.0)) {  // and NaN
     return Status::InvalidArgument(
         "countsketch: eps and oversample must be > 0");
   }
@@ -77,6 +86,14 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
       }
     }
   }
+  // In the additive model a server without the seed cannot contribute
+  // its share, and a missing share is fatal: the cross terms of A^T A
+  // are unbounded by any local quantity, so no widened bound covers it.
+  if (cluster.additive()) {
+    for (size_t i = 0; i < s; ++i) {
+      if (!seeded[i]) return LostShare(i);
+    }
+  }
 
   // Local compute: each seeded server streams its rows through the
   // compressor under the decoded seed — sparse rows through the O(nnz)
@@ -96,18 +113,19 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
     span.SetAttr("server", static_cast<int64_t>(i));
     const Server& server = cluster.server(i);
     CountSketchCompressor compressor(m, d, seeds[i]);
+    const uint64_t base = RowIndexBase(cluster, i);
     const bool sparse = options_.use_sparse && server.has_sparse();
     span.SetAttr("kernel", sparse ? "sparse" : "dense");
     if (sparse) {
       const CsrMatrix& csr = server.sparse();
       for (size_t r = 0; r < csr.rows(); ++r) {
-        compressor.AbsorbSparse(GlobalRowIndex(i, r), csr.RowIndices(r),
+        compressor.AbsorbSparse(base | r, csr.RowIndices(r),
                                 csr.RowValues(r));
       }
     } else {
       RowStream stream = server.OpenStream();
       for (size_t r = 0; stream.HasNext(); ++r) {
-        compressor.Absorb(GlobalRowIndex(i, r), stream.Next());
+        compressor.Absorb(base | r, stream.Next());
       }
     }
     w.compressed = std::move(compressor.ExportState().compressed);
@@ -139,6 +157,9 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   DS_ASSIGN_OR_RETURN(TreeReduceStats tree_stats,
                       RunTreeReduce(cluster, topo, hooks, result.degraded));
   (void)tree_stats;
+  if (cluster.additive() && result.degraded.degraded()) {
+    return LostShare(static_cast<size_t>(result.degraded.lost_servers[0]));
+  }
 
   result.sketch = std::move(total);
   result.comm = log.Stats();

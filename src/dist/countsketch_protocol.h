@@ -29,15 +29,20 @@ struct CountSketchProtocolOptions {
   bool use_sparse = true;
 };
 
-/// The first randomized *projection* protocol in the suite: every server
-/// streams its local rows through the shared-seed CountSketch compressor
-/// (global row index = server_id * 2^32 + local row, so shards agree on
-/// the hash without a per-row broadcast), and bucket matrices are summed
-/// up the merge topology — one m-by-d message per server, coordinator
-/// inbound top_width messages. One round (plus the 1-word seed
-/// downlink), O(s d / eps^2) words, coverr <= eps * ||A||_F^2 with
-/// constant probability (DESIGN.md §14). Unlike fd_merge this survives
-/// the arbitrary-partition model, the paper's concluding open question.
+/// The randomized *projection* protocol, and the one protocol that runs
+/// in both partition models: every server streams its local rows through
+/// the shared-seed CountSketch compressor (global row index =
+/// server_id * 2^32 + local row under a row partition, so shards agree
+/// on the hash without a per-row broadcast; the share row index itself
+/// on a Cluster::CreateAdditive cluster, where row r of every share is
+/// row r of A), and bucket matrices are summed up the merge topology —
+/// one m-by-d message per server, coordinator inbound top_width
+/// messages. One round (plus the 1-word seed downlink), O(s d / eps^2)
+/// words independent of n, coverr <= eps * ||A||_F^2 with constant
+/// probability (DESIGN.md §14). Because S A = sum_i S A^(i), the sketch
+/// survives the arbitrary-partition model, the paper's concluding open
+/// question. There a lost seed or share returns Unavailable: the missing
+/// cross terms of A^T A admit no degraded-mode bound.
 class CountSketchProtocol : public SketchProtocol {
  public:
   explicit CountSketchProtocol(CountSketchProtocolOptions options)

@@ -1,6 +1,7 @@
 #include "dist/exact_gram_protocol.h"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
@@ -40,6 +41,7 @@ StatusOr<Matrix> GramToSketch(const Matrix& total_gram) {
 
 StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
   cluster.ResetLog();
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   ProtocolRunScope run_scope(cluster, "exact_gram");
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
@@ -126,6 +128,39 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
   }
 
   DS_ASSIGN_OR_RETURN(result.sketch, GramToSketch(total_gram));
+  result.comm = log.Stats();
+  result.sketch_rows = result.sketch.rows();
+  return result;
+}
+
+StatusOr<SketchProtocolResult> RunAdditiveExact(Cluster& cluster) {
+  cluster.ResetLog();
+  if (!cluster.additive()) {
+    return Status::FailedPrecondition(
+        "RunAdditiveExact: needs an additive cluster");
+  }
+  const size_t n = cluster.total_rows();
+  const size_t d = cluster.dim();
+  CommLog& log = cluster.log();
+  log.BeginRound();
+
+  Matrix sum(n, d);
+  for (size_t i = 0; i < cluster.num_servers(); ++i) {
+    wire::Message msg =
+        wire::DenseMessage("raw_share", cluster.server(i).local_rows());
+    DS_CHECK(msg.words == cluster.cost_model().MatrixWords(n, d));
+    SendOutcome sent = cluster.Send(static_cast<int>(i), kCoordinator, msg);
+    if (!sent.delivered) {
+      return Status::Unavailable(
+          "RunAdditiveExact: share " + std::to_string(i) +
+          " permanently lost; the additive sum is unrecoverable");
+    }
+    DS_ASSIGN_OR_RETURN(wire::DecodedMatrix share,
+                        wire::DecodeMessagePayload(sent.payload));
+    sum = Add(sum, share.matrix);
+  }
+  SketchProtocolResult result;
+  DS_ASSIGN_OR_RETURN(result.sketch, GramToSketch(Gram(sum)));
   result.comm = log.Stats();
   result.sketch_rows = result.sketch.rows();
   return result;

@@ -46,6 +46,15 @@ class ExactGramProtocol : public SketchProtocol {
   ExactGramOptions options_;
 };
 
+/// The trivial exact protocol of the arbitrary-partition model, kept as
+/// the baseline the CountSketch protocol is measured against (E5): every
+/// server ships its whole n-by-d share (O(s n d) words — local Grams do
+/// not add up under additive shares), the coordinator sums the shares
+/// and returns the exact covariance square root. FailedPrecondition on a
+/// row-partition cluster (ExactGramProtocol is the O(s d^2) protocol
+/// there); Unavailable when a share is permanently lost.
+StatusOr<SketchProtocolResult> RunAdditiveExact(Cluster& cluster);
+
 }  // namespace distsketch
 
 #endif  // DISTSKETCH_DIST_EXACT_GRAM_PROTOCOL_H_

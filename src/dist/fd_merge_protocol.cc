@@ -28,6 +28,7 @@ StatusOr<FrequentDirections> MakeFd(size_t dim, const FdMergeOptions& opt) {
 
 StatusOr<SketchProtocolResult> FdMergeProtocol::Run(Cluster& cluster) {
   cluster.ResetLog();
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   ProtocolRunScope run_scope(cluster, "fd_merge");
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();

@@ -78,6 +78,7 @@ LowRankLocal ComputeLowRankLocal(const Server& server, size_t d,
 
 StatusOr<SketchProtocolResult> LowRankExactProtocol::Run(Cluster& cluster) {
   cluster.ResetLog();
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   if (options_.k < 1) {
     return Status::InvalidArgument("LowRankExactProtocol: k < 1");
   }

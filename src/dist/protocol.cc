@@ -1,8 +1,17 @@
 #include "dist/protocol.h"
 
+#include <string>
 #include <utility>
 
 namespace distsketch {
+
+Status RequireRowPartition(const Cluster& cluster, std::string_view protocol) {
+  if (!cluster.additive()) return Status::OK();
+  return Status::FailedPrecondition(
+      std::string(protocol) +
+      ": needs a row partition; only countsketch is linear in A and runs "
+      "on an additive cluster");
+}
 
 bool ReportLocalMass(Cluster& cluster, int server, double mass,
                      DegradedModeInfo& degraded) {

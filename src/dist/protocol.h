@@ -106,6 +106,11 @@ ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
                                         double mass, bool mass_known_if_lost,
                                         bool prepend_mass_report = false);
 
+/// The guard every row-based protocol runs first: FailedPrecondition on
+/// an additive (arbitrary-partition) cluster, whose local Grams, FD
+/// merges and row samples do not combine into a sketch of the sum.
+Status RequireRowPartition(const Cluster& cluster, std::string_view protocol);
+
 /// A distributed protocol that leaves a covariance sketch of the
 /// partitioned input at the coordinator. Implementations must route every
 /// transfer through cluster.log() so benches can meter them, and must

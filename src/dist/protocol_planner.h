@@ -1,63 +1,45 @@
 #ifndef DISTSKETCH_DIST_PROTOCOL_PLANNER_H_
 #define DISTSKETCH_DIST_PROTOCOL_PLANNER_H_
 
-#include <memory>
+#include <cstddef>
 #include <string>
 
-#include "common/status.h"
 #include "dist/merge_topology.h"
-#include "dist/protocol.h"
 #include "dist/sketch_goal.h"
+#include "sketch/sampling_function.h"
 
 namespace distsketch {
 
-/// What the caller needs from the sketch (drives algorithm choice): the
-/// semantic goal (eps/k/delta/determinism — the shared SketchGoal
-/// definition, also the auto-configurer's input) plus the execution
-/// details only the planner cares about (seed, topology).
-struct SketchRequest : SketchGoal {
-  uint64_t seed = 42;
-  /// Aggregation topology for the planned protocol. Threaded into the
-  /// protocols whose merges are associative (fd_merge, exact_gram);
-  /// star-only protocols ignore it.
-  MergeTopologyOptions topology;
-  /// When set the planner picks the topology itself per
-  /// ChooseMergeTopology (and `topology` above is ignored).
-  bool auto_topology = false;
-};
+/// The Table 1 cost oracle: predicted words of each protocol family for
+/// an (s, d) instance and goal (constants calibrated to this
+/// implementation). The auto-configurer's solver (autoconf/solver.h)
+/// prices every candidate through these functions and is the only
+/// protocol chooser; they are exposed for tests and the planner bench.
 
-/// A planned protocol together with its predicted cost.
-struct ProtocolPlan {
-  std::unique_ptr<SketchProtocol> protocol;
-  /// Predicted total words (the planner's cost-model estimate — compare
-  /// against the metered result to audit the model).
-  double predicted_words = 0.0;
-  /// Predicted words *into the coordinator* under `topology` — the
-  /// quantity aggregation trees shrink while total words stay put.
-  double predicted_coordinator_words = 0.0;
-  /// The topology the plan runs under (star unless the protocol merges
-  /// associatively and the request asked for something else).
-  MergeTopologyOptions topology;
-  /// Planner's explanation ("exact_gram: d <= 1/eps so sd^2 wins", ...).
-  std::string rationale;
-};
+/// Rows (FD l / CountSketch buckets m / expected samples t) of the
+/// family's uplink message at `eps` — the l knob of Table 1 and the one
+/// definition of l = ceil(1/eps)+1 (k = 0), k + ceil(k/eps) (k >= 1) and
+/// m = ceil(4/eps^2) every price and solved config derives from.
+size_t FamilySketchRows(const std::string& family, double eps, size_t k,
+                        size_t dim);
 
-/// Predicted word cost of each protocol family for an (s, d) instance
-/// and request, per the paper's Table 1 formulas (constants calibrated to
-/// this implementation). Exposed for tests and for the planner bench.
 double PredictExactGramWords(size_t s, size_t d);
-double PredictFdMergeWords(size_t s, size_t d, const SketchRequest& req);
-double PredictRowSamplingWords(size_t s, size_t d, const SketchRequest& req);
-double PredictSvsWords(size_t s, size_t d, const SketchRequest& req);
-double PredictAdaptiveWords(size_t s, size_t d, const SketchRequest& req);
-/// Distributed CountSketch (PR-9 protocol): every server ships its
-/// m-by-d bucket matrix (m = ceil(4/eps^2), the protocol's default
-/// oversample) plus the 1-word seed downlink each server receives.
-/// Quadratic in 1/eps, so it loses to sampling/SVS on words alone — but
-/// it is the only family whose sketch is *linear* in A, hence the only
-/// candidate under goal.arbitrary_partition, and it overtakes exact_gram
-/// once d > ~8/eps^2.
-double PredictCountSketchWords(size_t s, size_t d, const SketchRequest& req);
+double PredictFdMergeWords(size_t s, size_t d, const SketchGoal& goal);
+double PredictRowSamplingWords(size_t s, size_t d, const SketchGoal& goal);
+/// Theorem 6 (quadratic sampling function) at alpha = eps/4; the linear
+/// function of Theorem 5 pays an extra sqrt(log(d/delta)) factor.
+double PredictSvsWords(
+    size_t s, size_t d, const SketchGoal& goal,
+    SamplingFunctionKind kind = SamplingFunctionKind::kQuadratic);
+double PredictAdaptiveWords(size_t s, size_t d, const SketchGoal& goal);
+/// Distributed CountSketch: every server ships its m-by-d bucket matrix
+/// (m = ceil(4/eps^2), the protocol's default oversample) plus the
+/// 1-word seed downlink each server receives. Quadratic in 1/eps, so it
+/// loses to sampling/SVS on words alone — but it is the only family
+/// whose sketch is *linear* in A, hence the only candidate under
+/// goal.arbitrary_partition, and it overtakes exact_gram once
+/// d > ~8/eps^2.
+double PredictCountSketchWords(size_t s, size_t d, const SketchGoal& goal);
 
 /// Words received by the coordinator for an s-server reduction of
 /// `message_words`-word uplinks under `topology`: s * message under
@@ -73,24 +55,9 @@ double PredictCoordinatorInboundWords(size_t s,
 /// (message_words + frame overhead each), and each stage adds one
 /// round-latency charge. Star pays s serialized receives in one round;
 /// a k-ary tree pays (k-1) * depth + top_width receives across depth+1
-/// rounds — the planner's crossover between the two.
+/// rounds — the solver's crossover between the two.
 double PredictCriticalPathWords(size_t s, const MergeTopologyOptions& topology,
                                 double message_words);
-
-/// Picks the topology with the cheapest predicted critical path for an
-/// s-server reduction of `message_words`-word uplinks, among star and
-/// k-ary trees with k in {2, 4, 8, 16, 32}. Ties go to the earlier
-/// (shallower) candidate, so small s keeps the star.
-MergeTopologyOptions ChooseMergeTopology(size_t s, double message_words);
-
-/// Chooses the cheapest applicable protocol for the instance, in the
-/// spirit of a query planner: the paper's Table 1 is exactly a cost
-/// model, and different (s, d, eps, k) regimes have different winners
-/// (exact Gram when 1/eps >= d; sampling when eps is large and only the
-/// weak guarantee is needed; FD when determinism is required; SVS /
-/// adaptive otherwise).
-StatusOr<ProtocolPlan> PlanSketchProtocol(size_t num_servers, size_t dim,
-                                          const SketchRequest& request);
 
 }  // namespace distsketch
 

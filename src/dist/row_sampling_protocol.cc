@@ -14,7 +14,8 @@ namespace distsketch {
 
 StatusOr<SketchProtocolResult> RowSamplingProtocol::Run(Cluster& cluster) {
   cluster.ResetLog();
-  if (options_.eps <= 0.0 || options_.oversample <= 0.0) {
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
+  if (!(options_.eps > 0.0) || !(options_.oversample > 0.0)) {
     return Status::InvalidArgument("RowSamplingProtocol: bad options");
   }
   ProtocolRunScope run_scope(cluster, "row_sampling");

@@ -27,6 +27,7 @@ constexpr uint8_t kServerLostMassKnown = 2;  // lost in round 2
 
 StatusOr<SketchProtocolResult> SvsProtocol::Run(Cluster& cluster) {
   cluster.ResetLog();
+  DS_RETURN_IF_ERROR(RequireRowPartition(cluster, Name()));
   ProtocolRunScope run_scope(cluster, "svs");
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();

@@ -54,8 +54,12 @@ void Matrix::AppendRows(const Matrix& other) {
 Matrix Matrix::RowRange(size_t begin, size_t end) const {
   DS_CHECK(begin <= end && end <= rows_);
   Matrix out(end - begin, cols_);
-  std::memcpy(out.data(), data_.data() + begin * cols_,
-              (end - begin) * cols_ * sizeof(double));
+  // An empty range may sit on an empty buffer, whose data() is null —
+  // memcpy's pointers must be valid even for a zero length.
+  if (out.size() > 0) {
+    std::memcpy(out.data(), data_.data() + begin * cols_,
+                out.size() * sizeof(double));
+  }
   return out;
 }
 

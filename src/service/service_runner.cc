@@ -22,8 +22,9 @@ ServiceRunner::ServiceRunner(const ServiceRunnerOptions& options)
     : options_(options),
       wire_(std::make_unique<WireEndpoint>(options.bits_per_word)),
       channel_(std::make_unique<ChannelTransport>(
-          [w = wire_.get()](int from, int to, const wire::Message& msg) {
-            return w->Transfer(from, to, msg);
+          [this](int from, int to, const wire::Message& msg) {
+            std::lock_guard<std::mutex> g(wire_lock_);
+            return wire_->Transfer(from, to, msg);
           },
           options.channel)) {}
 
@@ -105,8 +106,12 @@ size_t ServiceRunner::Process() {
       resp = std::move(answers[request_of[i]]);
     }
     const wire::Message wire_resp = EncodeServiceResponse(resp);
-    const SendOutcome out =
-        SendOverIdealWire(wire_->log, kCoordinator, batch[i].client, wire_resp);
+    SendOutcome out;
+    {
+      std::lock_guard<std::mutex> g(wire_lock_);
+      out = SendOverIdealWire(wire_->log, kCoordinator, batch[i].client,
+                              wire_resp);
+    }
     if (telem && !resp.tenant.empty()) {
       telemetry::Count(TenantCounter(resp.tenant, "req_bytes"),
                        batch[i].request_wire_bytes);

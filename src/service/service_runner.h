@@ -1,6 +1,7 @@
 #ifndef DISTSKETCH_SERVICE_SERVICE_RUNNER_H_
 #define DISTSKETCH_SERVICE_SERVICE_RUNNER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -54,6 +55,9 @@ struct ServiceRunnerOptions {
 /// the channel's loop thread (StartLoop) or a Drain() caller executes
 /// the wire transfers. Process()/Drain() must be called from one thread
 /// at a time — the service itself is confined to that handler thread.
+/// Both legs meter into one CommLog: the request leg on the draining
+/// thread, the response leg in Process(); a lock serializes the two, so
+/// the loop thread and the handler thread may run concurrently.
 class ServiceRunner {
  public:
   using ResponseCallback = std::function<void(const ServiceResponse&)>;
@@ -96,6 +100,8 @@ class ServiceRunner {
 
   SketchService& service() { return *service_; }
   ChannelTransport& channel() { return *channel_; }
+  /// The metered wire log. Read it only while no transfer or Process()
+  /// is in flight (e.g. after StopLoop()).
   CommLog& log() { return wire_->log; }
   const std::optional<FaultInjector>& faults() const { return wire_->faults; }
 
@@ -117,6 +123,10 @@ class ServiceRunner {
   };
 
   ServiceRunnerOptions options_;
+  /// Serializes every append to wire_->log: request-leg transfers run on
+  /// the draining thread (the loop thread in loop mode), response-leg
+  /// sends on the Process() thread.
+  std::mutex wire_lock_;
   std::unique_ptr<WireEndpoint> wire_;
   std::unique_ptr<ChannelTransport> channel_;
   std::unique_ptr<SketchService> service_;
@@ -127,9 +137,9 @@ class ServiceRunner {
   std::mutex inbox_lock_;
   std::vector<Delivered> inbox_;
 
-  uint64_t accepted_ = 0;
-  uint64_t wire_lost_ = 0;
-  uint64_t responded_ = 0;
+  std::atomic<uint64_t> accepted_{0};
+  std::atomic<uint64_t> wire_lost_{0};
+  std::atomic<uint64_t> responded_{0};
 };
 
 }  // namespace distsketch

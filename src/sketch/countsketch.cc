@@ -29,7 +29,7 @@ CountSketchCompressor::CountSketchCompressor(size_t buckets, size_t dim,
 
 StatusOr<CountSketchCompressor> CountSketchCompressor::FromEps(
     size_t dim, double eps, uint64_t seed, double oversample) {
-  if (eps <= 0.0 || oversample <= 0.0) {
+  if (!(eps > 0.0) || !(oversample > 0.0)) {  // also rejects NaN
     return Status::InvalidArgument(
         "CountSketchCompressor: eps and oversample must be > 0");
   }

@@ -43,7 +43,8 @@ class CountSketchCompressor {
   CountSketchCompressor(size_t buckets, size_t dim, uint64_t seed);
 
   /// Sizes the compressor for coverr <= eps * ||A||_F^2 (constant
-  /// probability): m = ceil(oversample / eps^2).
+  /// probability): m = ceil(oversample / eps^2). Requires eps > 0 and
+  /// oversample > 0.
   static StatusOr<CountSketchCompressor> FromEps(size_t dim, double eps,
                                                  uint64_t seed,
                                                  double oversample = 4.0);

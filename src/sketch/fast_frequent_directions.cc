@@ -25,7 +25,7 @@ StatusOr<FastFrequentDirections> FastFrequentDirections::FromEpsK(
   if (k < 1) {
     return Status::InvalidArgument("FromEpsK: k must be >= 1");
   }
-  if (eps <= 0.0) {
+  if (!(eps > 0.0)) {  // also rejects NaN
     return Status::InvalidArgument("FromEpsK: eps must be positive");
   }
   const size_t sketch_size =

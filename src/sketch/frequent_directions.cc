@@ -106,7 +106,7 @@ StatusOr<FrequentDirections> FrequentDirections::FromEpsK(size_t dim,
   if (k < 1) {
     return Status::InvalidArgument("FromEpsK: k must be >= 1 (use FromEps)");
   }
-  if (eps <= 0.0) {
+  if (!(eps > 0.0)) {  // also rejects NaN
     return Status::InvalidArgument("FromEpsK: eps must be positive");
   }
   const size_t sketch_size =
@@ -116,7 +116,7 @@ StatusOr<FrequentDirections> FrequentDirections::FromEpsK(size_t dim,
 
 StatusOr<FrequentDirections> FrequentDirections::FromEps(size_t dim,
                                                          double eps) {
-  if (eps <= 0.0) {
+  if (!(eps > 0.0)) {  // also rejects NaN
     return Status::InvalidArgument("FromEps: eps must be positive");
   }
   const size_t sketch_size =

@@ -94,6 +94,7 @@ class FrequentDirections {
 
   /// Sizes the sketch for the (eps, 0) guarantee: sketch_size =
   /// ceil(1/eps) + 1, giving covariance error at most eps * ||A||_F^2.
+  /// Requires eps > 0.
   static StatusOr<FrequentDirections> FromEps(size_t dim, double eps);
 
   /// Rebuilds a sketch from captured state (checkpoint restore / compact

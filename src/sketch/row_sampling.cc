@@ -20,7 +20,7 @@ RowSamplingSketch::RowSamplingSketch(size_t dim, size_t num_samples,
 StatusOr<RowSamplingSketch> RowSamplingSketch::FromEps(size_t dim, double eps,
                                                        uint64_t seed,
                                                        double oversample) {
-  if (eps <= 0.0 || oversample <= 0.0) {
+  if (!(eps > 0.0) || !(oversample > 0.0)) {  // also rejects NaN
     return Status::InvalidArgument("FromEps: eps and oversample must be > 0");
   }
   const size_t t =

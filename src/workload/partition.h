@@ -42,6 +42,13 @@ std::vector<Matrix> PartitionRows(const Matrix& a, size_t s,
 std::vector<Matrix> PartitionRowsZipf(const Matrix& a, size_t s,
                                       double alpha);
 
+/// Splits `a` into `s` random additive shares for the arbitrary
+/// partition model (Cluster::CreateAdditive): s-1 i.i.d. Gaussian
+/// matrices at the data's scale, the last share making the sum exact —
+/// the adversarial flavour of the model: every share is dense and
+/// individually carries no information about A.
+std::vector<Matrix> SplitAdditive(const Matrix& a, size_t s, uint64_t seed);
+
 /// Reassembles a partition into a single matrix (order: server 0's rows,
 /// then server 1's, ...). Note the row order generally differs from the
 /// original matrix; covariance A^T A is invariant to row order, which is

@@ -2,11 +2,10 @@
 // runs routed through the async ChannelTransport adapter must reproduce
 // the pre-refactor synchronous transcripts bit for bit — transcript
 // digest, analytic word count, wire bytes, control (NAK) bytes, and the
-// result sketch are all pinned. A second suite asserts the two cluster
-// flavours meter identically: the same send schedule through Cluster and
-// AdditiveCluster produces equal CommStats, including the
-// control_wire_bytes that AdditiveCluster's old direct-to-injector path
-// under-counted.
+// result sketch are all pinned. A second suite asserts the two partition
+// models meter identically: the same send schedule through a row
+// Cluster and a Cluster::CreateAdditive cluster produces equal CommStats,
+// including the NAK control_wire_bytes.
 
 #include <cstring>
 #include <string>
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "dist/adaptive_sketch_protocol.h"
-#include "dist/additive_cluster.h"
 #include "dist/cluster.h"
 #include "dist/exact_gram_protocol.h"
 #include "dist/fd_merge_protocol.h"
@@ -152,10 +150,9 @@ TEST(ChannelEquivalence, ResetLogReplaysIdenticalTranscript) {
   EXPECT_EQ(MatrixDigest(first->sketch), MatrixDigest(second->sketch));
 }
 
-// The two cluster flavours share one transport implementation, so an
-// identical send schedule over identical fault plans must meter
-// identically — in particular the NAK control bytes, which the old
-// AdditiveCluster fast path dropped from its CommStats.
+// Both partition models run over one Cluster transport, so an identical
+// send schedule over identical fault plans must meter identically — in
+// particular the NAK control bytes.
 TEST(ChannelEquivalence, AdditiveClusterMetersLikeCluster) {
   Matrix a = GenerateGaussian(96, 12, 1.0, 4242);
   constexpr size_t kServers = 4;
@@ -164,7 +161,7 @@ TEST(ChannelEquivalence, AdditiveClusterMetersLikeCluster) {
       PartitionRows(a, kServers, PartitionScheme::kRoundRobin), 0.1);
   ASSERT_TRUE(row_cluster.ok());
   auto add_cluster =
-      AdditiveCluster::Create(SplitAdditive(a, kServers, 99), 0.1);
+      Cluster::CreateAdditive(SplitAdditive(a, kServers, 99), 0.1);
   ASSERT_TRUE(add_cluster.ok());
 
   FaultConfig fc = ChaosConfig();

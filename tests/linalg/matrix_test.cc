@@ -80,6 +80,16 @@ TEST(MatrixTest, RowRange) {
   EXPECT_EQ(m.RowRange(2, 2).rows(), 0u);
 }
 
+TEST(MatrixTest, EmptyRowRangeOfEmptyMatrix) {
+  // An empty matrix has no buffer; the empty range must not hand its
+  // null data pointer to memcpy.
+  const Matrix empty(0, 3);
+  const Matrix none = empty.RowRange(0, 0);
+  EXPECT_EQ(none.rows(), 0u);
+  EXPECT_EQ(none.cols(), 3u);
+  EXPECT_EQ(Matrix().RowRange(0, 0).size(), 0u);
+}
+
 TEST(MatrixTest, RemoveZeroRows) {
   Matrix m{{1, 0}, {0, 0}, {0, 2}, {0, 0}};
   m.RemoveZeroRows();

@@ -2,15 +2,19 @@
 // the tenant epoch-merge state machine, admission control and typed
 // kOverloaded shedding, LRU eviction with bit-identical checkpoint
 // restore (pinned against a never-evicted shadow tenant), batch
-// determinism across thread-pool widths, and the runner's full overload
-// ladder (channel shed / wire loss / decode failure / registry full).
+// determinism across thread-pool widths, the runner's full overload
+// ladder (channel shed / wire loss / decode failure / registry full), and
+// loop mode with a concurrent handler thread.
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -513,6 +517,56 @@ TEST(ServiceRunner, WireLossAnswersUnavailableDeterministically) {
   }
   EXPECT_EQ(unavailable, first.second);
   EXPECT_EQ(first.first.size(), 40u);  // every accepted submit answered
+}
+
+TEST(ServiceRunner, LoopModeMetersBothLegsWhileProcessRuns) {
+  // The channel's loop thread runs request-leg transfers while a handler
+  // thread answers in Process(); both legs append to one CommLog.
+  constexpr int kClients = 4;
+  constexpr size_t kRequests = 400;
+  ServiceRunnerOptions options;
+  options.service = {
+      .tenant = SmallTenant(), .max_tenants = 64, .max_resident = 64};
+  options.channel.peer_queue_capacity = kRequests;
+  auto created = ServiceRunner::Create(options);
+  ASSERT_TRUE(created.ok());
+  ServiceRunner& runner = **created;
+  runner.StartLoop();
+
+  std::vector<int> responses(kRequests, 0);  // written by the handler only
+  std::atomic<size_t> answered{0};
+  std::atomic<bool> submitting{true};
+  std::thread handler([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (submitting.load() || answered.load() < runner.accepted()) {
+      if (std::chrono::steady_clock::now() > deadline) break;
+      if (runner.Process() == 0) std::this_thread::yield();
+    }
+  });
+  for (size_t i = 0; i < kRequests; ++i) {
+    const int client = static_cast<int>(i % kClients);
+    const Status s = runner.SubmitIngest(
+        client, "t" + std::to_string(client), Rows(2, 700 + i),
+        [&responses, &answered, i](const ServiceResponse& r) {
+          EXPECT_EQ(r.code, StatusCode::kOk);
+          ++responses[i];
+          ++answered;
+        });
+    ASSERT_TRUE(s.ok()) << i;
+  }
+  submitting = false;
+  handler.join();
+  runner.StopLoop();
+
+  EXPECT_EQ(runner.accepted(), kRequests);
+  EXPECT_EQ(runner.responded(), kRequests);
+  for (size_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(responses[i], 1) << "request " << i;
+  }
+  // One request-leg and one response-leg record per request.
+  EXPECT_EQ(runner.log().Stats().num_messages, 2 * kRequests);
+  EXPECT_EQ(runner.wire_lost(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "linalg/blas.h"
 #include "sketch/error_metrics.h"
 #include "workload/generators.h"
@@ -12,6 +14,12 @@ namespace {
 TEST(CountSketchTest, Validation) {
   EXPECT_FALSE(CountSketchCompressor::FromEps(4, 0.0, 1).ok());
   EXPECT_FALSE(CountSketchCompressor::FromEps(4, 0.2, 1, -1.0).ok());
+  // NaN would reach the size_t bucket count; it is a typed error.
+  EXPECT_EQ(CountSketchCompressor::FromEps(4, std::nan(""), 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      CountSketchCompressor::FromEps(4, 0.2, 1, std::nan("")).status().code(),
+      StatusCode::kInvalidArgument);
   auto c = CountSketchCompressor::FromEps(4, 0.5, 1);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->buckets(), 16u);  // ceil(4 / 0.25)

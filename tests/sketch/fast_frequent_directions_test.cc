@@ -1,5 +1,6 @@
 #include "sketch/fast_frequent_directions.h"
 
+#include <cmath>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,9 @@ namespace {
 TEST(FastFdTest, FactoryValidation) {
   EXPECT_FALSE(FastFrequentDirections::FromEpsK(8, 0.1, 0, 1).ok());
   EXPECT_FALSE(FastFrequentDirections::FromEpsK(8, 0.0, 2, 1).ok());
+  EXPECT_EQ(
+      FastFrequentDirections::FromEpsK(8, std::nan(""), 2, 1).status().code(),
+      StatusCode::kInvalidArgument);
   auto fd = FastFrequentDirections::FromEpsK(8, 0.5, 2, 1);
   ASSERT_TRUE(fd.ok());
   EXPECT_EQ(fd->sketch_size(), 6u);

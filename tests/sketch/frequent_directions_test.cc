@@ -1,5 +1,6 @@
 #include "sketch/frequent_directions.h"
 
+#include <cmath>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,11 @@ TEST(FrequentDirectionsTest, FactoryValidation) {
   EXPECT_FALSE(FrequentDirections::FromEpsK(8, 0.1, 0).ok());
   EXPECT_FALSE(FrequentDirections::FromEpsK(8, -0.1, 2).ok());
   EXPECT_FALSE(FrequentDirections::FromEps(8, 0.0).ok());
+  // NaN would reach the size_t sketch size; it is a typed error.
+  EXPECT_EQ(FrequentDirections::FromEps(32, std::nan("")).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(FrequentDirections::FromEpsK(32, std::nan(""), 2).status().code(),
+            StatusCode::kInvalidArgument);
   auto fd = FrequentDirections::FromEpsK(8, 0.5, 2);
   ASSERT_TRUE(fd.ok());
   // l = k + ceil(k/eps) = 2 + 4.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "linalg/blas.h"
 #include "sketch/error_metrics.h"
 #include "workload/generators.h"
@@ -12,6 +14,8 @@ namespace {
 TEST(RowSamplingTest, FactoryValidation) {
   EXPECT_FALSE(RowSamplingSketch::FromEps(4, 0.0, 1).ok());
   EXPECT_FALSE(RowSamplingSketch::FromEps(4, 0.5, 1, -1.0).ok());
+  EXPECT_EQ(RowSamplingSketch::FromEps(4, std::nan(""), 1).status().code(),
+            StatusCode::kInvalidArgument);
   auto s = RowSamplingSketch::FromEps(4, 0.5, 1);
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s->num_samples(), 4u);  // ceil(1/0.25)

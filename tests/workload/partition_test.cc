@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/blas.h"
+#include "sketch/error_metrics.h"
 #include "workload/generators.h"
 #include "workload/row_stream.h"
 
@@ -129,6 +130,30 @@ TEST(PartitionTest, MoreServersThanRows) {
   size_t total = 0;
   for (const auto& p : parts) total += p.rows();
   EXPECT_EQ(total, 2u);
+}
+
+TEST(PartitionTest, SplitAdditiveSumsBack) {
+  const Matrix a = GenerateLowRankPlusNoise(
+      {.rows = 40, .cols = 8, .rank = 3, .noise_stddev = 0.2, .seed = 1});
+  const auto shares = SplitAdditive(a, 5, 7);
+  ASSERT_EQ(shares.size(), 5u);
+  Matrix sum(40, 8);
+  for (const auto& share : shares) sum = Add(sum, share);
+  EXPECT_TRUE(AlmostEqual(sum, a, 1e-10));
+  // Shares individually look nothing like A (dense noise).
+  EXPECT_GT(CovarianceError(a, shares[0]),
+            0.3 * SquaredFrobeniusNorm(a) / static_cast<double>(a.cols()));
+}
+
+TEST(PartitionTest, SplitAdditiveLocalGramsDoNotAddUp) {
+  // The reason the row-partition protocols fail on additive shares: the
+  // sum of share Grams != the Gram of the sum.
+  const Matrix a = GenerateGaussian(30, 6, 1.0, 2);
+  const auto shares = SplitAdditive(a, 3, 8);
+  Matrix gram_sum(6, 6);
+  for (const auto& share : shares) gram_sum = Add(gram_sum, Gram(share));
+  EXPECT_FALSE(
+      AlmostEqual(gram_sum, Gram(a), 0.1 * SquaredFrobeniusNorm(a)));
 }
 
 TEST(RowStreamTest, SinglePassSemantics) {
