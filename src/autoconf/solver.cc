@@ -301,6 +301,8 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
   }
   ladder.push_back(goal.eps);
 
+  // Last candidate dropped because its sketch size is not buildable.
+  Status oversize = Status::OK();
   ConfigPlan plan;
   plan.goal = goal;
   plan.shape = shape;
@@ -319,8 +321,13 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
     ErrorPrediction resolved_error;
     for (double eps : ladder) {
       base.working_eps = eps;
-      base.sketch_rows =
-          FamilySketchRows(variant.family, eps, goal.k, shape.dim);
+      StatusOr<size_t> rows =
+          CheckedFamilySketchRows(variant.family, eps, goal.k, shape.dim);
+      if (!rows.ok()) {  // oversize: no such sketch can be built
+        oversize = rows.status();
+        continue;
+      }
+      base.sketch_rows = *rows;
       std::string key = FamilyKey(base);
       if (variant.quantized) key = "fd_merge_q";
       const double analytic = AnalyticRelativeBound(variant.family, eps);
@@ -377,6 +384,7 @@ StatusOr<ConfigPlan> SolveSketchConfig(const AutoConfRequest& request,
   }
 
   if (plan.ranked.empty()) {
+    if (!oversize.ok()) return oversize;
     return Status::FailedPrecondition(
         "SolveSketchConfig: no protocol family satisfies the goal");
   }

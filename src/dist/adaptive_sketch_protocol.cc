@@ -67,11 +67,13 @@ StatusOr<SketchProtocolResult> AdaptiveSketchProtocol::Run(Cluster& cluster) {
   for (size_t i = 0; i < s; ++i) {
     const int id = static_cast<int>(i);
     masses[i] = locals[i].mass;
+    if (ft && !ReportLocalMass(cluster, id, masses[i], result.degraded)) {
+      continue;
+    }
     ServerSendResult tail_sent = SendWithMassAccounting(
         cluster, id, kCoordinator,
         wire::ScalarMessage("tail_mass", locals[i].tail_mass),
-        result.degraded, masses[i], /*mass_known_if_lost=*/false,
-        /*prepend_mass_report=*/ft);
+        result.degraded, masses[i], /*mass_known_if_lost=*/ft);
     if (tail_sent.delivered) {
       active[i] = true;
       DS_ASSIGN_OR_RETURN(const double reported,

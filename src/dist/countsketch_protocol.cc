@@ -1,6 +1,5 @@
 #include "dist/countsketch_protocol.h"
 
-#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,17 +39,11 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   ProtocolRunScope run_scope(cluster, "countsketch");
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
-  CommLog& log = cluster.log();
-  const bool ft = cluster.fault_mode();
-  log.BeginRound();
+  cluster.log().BeginRound();
 
-  if (!(options_.eps > 0.0) || !(options_.oversample > 0.0)) {  // and NaN
-    return Status::InvalidArgument(
-        "countsketch: eps and oversample must be > 0");
-  }
-  const size_t m = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::ceil(options_.oversample / (options_.eps * options_.eps))));
+  DS_ASSIGN_OR_RETURN(
+      const size_t m,
+      CountSketchCompressor::BucketsFor(options_.eps, options_.oversample));
 
   DS_ASSIGN_OR_RETURN(MergeTopology topo,
                       MergeTopology::Build(s, options_.topology));
@@ -98,15 +91,11 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   // Local compute: each seeded server streams its rows through the
   // compressor under the decoded seed — sparse rows through the O(nnz)
   // scatter kernel when a CSR view is attached.
-  struct LocalWork {
+  std::vector<Matrix> locals = ParallelMap<Matrix>(s, [&](size_t i) {
     Matrix compressed;
-    double mass = 0.0;
-  };
-  std::vector<LocalWork> locals = ParallelMap<LocalWork>(s, [&](size_t i) {
-    LocalWork w;
     if (!seeded[i]) {
-      w.compressed.SetZero(m, d);
-      return w;
+      compressed.SetZero(m, d);
+      return compressed;
     }
     telemetry::Span span("countsketch/local_compress",
                          telemetry::Phase::kCompute);
@@ -128,9 +117,8 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
         compressor.Absorb(base | r, stream.Next());
       }
     }
-    w.compressed = std::move(compressor.ExportState().compressed);
-    if (ft) w.mass = SquaredFrobeniusNorm(server.local_rows());
-    return w;
+    compressed = std::move(compressor.ExportState().compressed);
+    return compressed;
   });
 
   // Uplink: bucket matrices add (linearity), so interior nodes sum in
@@ -141,28 +129,25 @@ StatusOr<SketchProtocolResult> CountSketchProtocol::Run(Cluster& cluster) {
   hooks.absorb = [&](int node, const std::vector<uint8_t>& payload) -> Status {
     wire::DecodedMatrix received;
     DS_ASSIGN_OR_RETURN(received, wire::DecodeMessagePayload(payload));
-    Matrix& dst = (node == kCoordinator)
-                      ? total
-                      : locals[static_cast<size_t>(node)].compressed;
+    Matrix& dst =
+        node == kCoordinator ? total : locals[static_cast<size_t>(node)];
     dst = Add(dst, received.matrix);
     return Status::OK();
   };
   hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
-    return wire::DenseMessage("local_cs",
-                              locals[static_cast<size_t>(node)].compressed);
+    const Matrix compressed = std::move(locals[static_cast<size_t>(node)]);
+    return wire::DenseMessage("local_cs", compressed);
   };
-  hooks.local_mass = [&](int node) {
-    return locals[static_cast<size_t>(node)].mass;
-  };
-  DS_ASSIGN_OR_RETURN(TreeReduceStats tree_stats,
-                      RunTreeReduce(cluster, topo, hooks, result.degraded));
-  (void)tree_stats;
+  // The additive model never widens a bound (any loss is Unavailable
+  // below), so only a row partition sends the mass reports.
+  if (!cluster.additive()) hooks.local_mass = LocalRowMass(cluster);
+  DS_RETURN_IF_ERROR(RunTreeReduce(cluster, topo, hooks, result.degraded));
   if (cluster.additive() && result.degraded.degraded()) {
     return LostShare(static_cast<size_t>(result.degraded.lost_servers[0]));
   }
 
   result.sketch = std::move(total);
-  result.comm = log.Stats();
+  result.comm = cluster.log().Stats();
   result.sketch_rows = result.sketch.rows();
   return result;
 }

@@ -45,90 +45,50 @@ StatusOr<SketchProtocolResult> ExactGramProtocol::Run(Cluster& cluster) {
   ProtocolRunScope run_scope(cluster, "exact_gram");
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
-  CommLog& log = cluster.log();
-  const bool ft = cluster.fault_mode();
-  log.BeginRound();
+  cluster.log().BeginRound();
+  DS_ASSIGN_OR_RETURN(MergeTopology topo,
+                      MergeTopology::Build(s, options_.topology));
 
   SketchProtocolResult result;
   // Parallel phase: local d-by-d Grams (the O(n_i d^2) hot loop — or
   // O(nnz_i d) through the CSR kernel when the server carries a sparse
-  // view) and, in fault mode, the local masses.
-  struct LocalGram {
-    Matrix gram;
-    double mass = 0.0;
-  };
-  std::vector<LocalGram> locals = ParallelMap<LocalGram>(s, [&](size_t i) {
-    LocalGram w;
+  // view).
+  std::vector<Matrix> grams = ParallelMap<Matrix>(s, [&](size_t i) {
     telemetry::Span span("exact_gram/local_gram", telemetry::Phase::kCompute);
     span.SetAttr("server", static_cast<int64_t>(i));
     const Server& server = cluster.server(i);
     const Matrix& local = server.local_rows();
     const bool sparse = options_.use_sparse && server.has_sparse();
     span.SetAttr("kernel", sparse ? "sparse" : "dense");
-    if (local.rows() == 0) {
-      w.gram = Matrix(d, d);
-    } else if (sparse) {
-      w.gram = server.sparse().Gram();
-    } else {
-      w.gram = Gram(local);
-    }
-    if (ft) w.mass = SquaredFrobeniusNorm(local);
-    return w;
+    if (local.rows() == 0) return Matrix(d, d);
+    return sparse ? server.sparse().Gram() : Gram(local);
   });
 
-  if (!options_.topology.is_star()) {
-    // Communication-avoiding path: Gram addition is associative, so
-    // interior servers sum partial Grams and forward one upper triangle;
-    // the coordinator receives top_width messages instead of s.
-    DS_ASSIGN_OR_RETURN(MergeTopology topo,
-                        MergeTopology::Build(s, options_.topology));
-    Matrix total_gram(d, d);
-    TreeReduceHooks hooks;
-    hooks.absorb = [&](int node,
-                       const std::vector<uint8_t>& payload) -> Status {
-      Matrix received;
-      DS_ASSIGN_OR_RETURN(received, wire::DecodeSymmetricPayload(payload, d));
-      Matrix& dst = (node == kCoordinator)
-                        ? total_gram
-                        : locals[static_cast<size_t>(node)].gram;
-      dst = Add(dst, received);
-      return Status::OK();
-    };
-    hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
-      return wire::SymmetricMessage("local_gram",
-                                    locals[static_cast<size_t>(node)].gram);
-    };
-    hooks.local_mass = [&](int node) {
-      return locals[static_cast<size_t>(node)].mass;
-    };
-    DS_ASSIGN_OR_RETURN(TreeReduceStats tree_stats,
-                        RunTreeReduce(cluster, topo, hooks, result.degraded));
-    (void)tree_stats;
-    DS_ASSIGN_OR_RETURN(result.sketch, GramToSketch(total_gram));
-    result.comm = log.Stats();
-    result.sketch_rows = result.sketch.rows();
-    return result;
-  }
-
-  // Serial phase: sends and the coordinator's sum, in server-index order.
+  // Gram addition is associative, so interior servers sum partial Grams
+  // and forward one upper triangle; the coordinator adds what reaches it.
   Matrix total_gram(d, d);
-  for (size_t i = 0; i < s; ++i) {
-    const int id = static_cast<int>(i);
+  TreeReduceHooks hooks;
+  hooks.absorb = [&](int node, const std::vector<uint8_t>& payload) -> Status {
+    DS_ASSIGN_OR_RETURN(Matrix received,
+                        wire::DecodeSymmetricPayload(payload, d));
+    Matrix& dst =
+        node == kCoordinator ? total_gram : grams[static_cast<size_t>(node)];
+    dst = Add(dst, received);
+    return Status::OK();
+  };
+  hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
     // Symmetric payload: upper triangle only, packed as a flat row so
     // the measured wire words equal the analytic d(d+1)/2.
-    wire::Message msg = wire::SymmetricMessage("local_gram", locals[i].gram);
+    const Matrix gram = std::move(grams[static_cast<size_t>(node)]);
+    wire::Message msg = wire::SymmetricMessage("local_gram", gram);
     DS_CHECK(msg.words == d * (d + 1) / 2);
-    ServerSendResult sent = SendWithMassAccounting(
-        cluster, id, kCoordinator, msg, result.degraded, locals[i].mass,
-        /*mass_known_if_lost=*/false, /*prepend_mass_report=*/ft);
-    if (!sent.delivered) continue;
-    DS_ASSIGN_OR_RETURN(Matrix received,
-                        wire::DecodeSymmetricPayload(sent.payload, d));
-    total_gram = Add(total_gram, received);
-  }
+    return msg;
+  };
+  hooks.local_mass = LocalRowMass(cluster);
+  DS_RETURN_IF_ERROR(RunTreeReduce(cluster, topo, hooks, result.degraded));
 
   DS_ASSIGN_OR_RETURN(result.sketch, GramToSketch(total_gram));
-  result.comm = log.Stats();
+  result.comm = cluster.log().Stats();
   result.sketch_rows = result.sketch.rows();
   return result;
 }

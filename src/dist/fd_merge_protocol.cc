@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "dist/protocol_telemetry.h"
 #include "dist/tree_reduce.h"
-#include "linalg/blas.h"
 #include "sketch/frequent_directions.h"
 #include "sketch/quantizer.h"
 #include "telemetry/span.h"
@@ -32,21 +31,18 @@ StatusOr<SketchProtocolResult> FdMergeProtocol::Run(Cluster& cluster) {
   ProtocolRunScope run_scope(cluster, "fd_merge");
   const size_t d = cluster.dim();
   const size_t s = cluster.num_servers();
-  CommLog& log = cluster.log();
-  const bool ft = cluster.fault_mode();
-  log.BeginRound();
+  const CostModel& cost = cluster.cost_model();
+  cluster.log().BeginRound();
 
   SketchProtocolResult result;
   // Validates the options once; the per-server sketches below use the
   // same parameters and therefore cannot fail.
   DS_ASSIGN_OR_RETURN(FrequentDirections merged, MakeFd(d, options_));
 
+  // Quantize and checkpoint are star-only: the §3.3 rounding argument
+  // covers leaf-to-coordinator sketches, not re-quantized interior
+  // merges, and restart points are per coordinator-bound uplink.
   if (!options_.topology.is_star()) {
-    // Communication-avoiding path: uplinks climb an aggregation tree and
-    // interior servers shrink-merge in place (FD mergeability), so the
-    // coordinator receives top_width sketches instead of s. Quantize and
-    // checkpoint are star-transcript features (leaf-to-coordinator wire
-    // formats / coordinator-sequential restart points) and stay gated.
     if (options_.quantize) {
       return Status::InvalidArgument(
           "fd_merge: quantize requires the star topology");
@@ -56,56 +52,9 @@ StatusOr<SketchProtocolResult> FdMergeProtocol::Run(Cluster& cluster) {
       return Status::InvalidArgument(
           "fd_merge: checkpoint/restart requires the star topology");
     }
-    DS_ASSIGN_OR_RETURN(MergeTopology topo,
-                        MergeTopology::Build(s, options_.topology));
-
-    // Per-node accumulators: seeded with the local rows here, children's
-    // sketches folded in by the driver's absorb hook at merge time.
-    std::vector<FrequentDirections> acc;
-    acc.reserve(s);
-    for (size_t i = 0; i < s; ++i) {
-      auto fd = MakeFd(d, options_);
-      DS_CHECK(fd.ok());  // options validated above
-      acc.push_back(std::move(fd).value());
-    }
-    std::vector<double> masses(s, 0.0);
-    ParallelMap<int>(s, [&](size_t i) {
-      telemetry::Span span("fd_merge/local_sketch",
-                           telemetry::Phase::kCompute);
-      span.SetAttr("server", static_cast<int64_t>(i));
-      RowStream stream = cluster.server(i).OpenStream();
-      while (stream.HasNext()) acc[i].Append(stream.Next());
-      if (ft) masses[i] = SquaredFrobeniusNorm(cluster.server(i).local_rows());
-      return 0;
-    });
-
-    TreeReduceHooks hooks;
-    hooks.absorb = [&](int node,
-                       const std::vector<uint8_t>& payload) -> Status {
-      wire::DecodedMatrix received;
-      DS_ASSIGN_OR_RETURN(received, wire::DecodeMessagePayload(payload));
-      if (node == kCoordinator) {
-        merged.AppendRows(received.matrix);
-      } else {
-        acc[static_cast<size_t>(node)].AppendRows(received.matrix);
-      }
-      return Status::OK();
-    };
-    hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
-      return wire::DenseMessage("local_sketch",
-                                acc[static_cast<size_t>(node)].Sketch());
-    };
-    hooks.local_mass = [&](int node) {
-      return masses[static_cast<size_t>(node)];
-    };
-    DS_ASSIGN_OR_RETURN(TreeReduceStats tree_stats,
-                        RunTreeReduce(cluster, topo, hooks, result.degraded));
-    (void)tree_stats;
-    result.sketch = merged.Sketch();
-    result.comm = log.Stats();
-    result.sketch_rows = result.sketch.rows();
-    return result;
   }
+  DS_ASSIGN_OR_RETURN(MergeTopology topo,
+                      MergeTopology::Build(s, options_.topology));
 
   // Checkpoint restore: the done bitmap marks servers already folded
   // into the saved partial sketch; this run skips them, so the merge
@@ -125,75 +74,60 @@ StatusOr<SketchProtocolResult> FdMergeProtocol::Run(Cluster& cluster) {
     }
   }
 
-  // Parallel phase: every server compresses its local rows concurrently.
-  // This is pure computation — no sends, no shared state — so the result
-  // slots are bit-identical for any thread count. (FD's shrinks route
-  // through the spectral kernel, which runs its fixed serial schedule
-  // when nested inside this ParallelMap — same bits either way.) Local
-  // masses are computed alongside (only transmitted in fault mode).
-  struct LocalWork {
-    Matrix sketch;
-    double mass = 0.0;
-  };
-  std::vector<LocalWork> locals = ParallelMap<LocalWork>(s, [&](size_t i) {
-    LocalWork w;
-    if (done[i]) return w;  // already in the restored coordinator state
+  // Per-node accumulators, seeded with the local rows on the pool (FD's
+  // shrinks run their fixed serial schedule inside a ParallelMap, so the
+  // bits do not depend on the thread count); children's sketches are
+  // folded in by absorb, and make_message consumes them.
+  std::vector<std::optional<FrequentDirections>> acc(s);
+  ParallelMap<int>(s, [&](size_t i) {
+    if (done[i]) return 0;  // already in the restored coordinator state
     telemetry::Span span("fd_merge/local_sketch", telemetry::Phase::kCompute);
     span.SetAttr("server", static_cast<int64_t>(i));
-    auto local = MakeFd(d, options_);
-    DS_CHECK(local.ok());
+    acc[i].emplace(*MakeFd(d, options_));
     RowStream stream = cluster.server(i).OpenStream();
-    while (stream.HasNext()) local->Append(stream.Next());
-    w.sketch = local->Sketch();
-    if (ft) w.mass = SquaredFrobeniusNorm(cluster.server(i).local_rows());
-    return w;
+    while (stream.HasNext()) acc[i]->Append(stream.Next());
+    return 0;
   });
 
-  // Serial phase: transfers and the coordinator merge run in server-index
-  // order, so the wire transcript and the merged sketch are independent
-  // of the parallel schedule above. Returns whether the server's sketch
-  // reached the coordinator (lost servers stay un-done and are retried
-  // by a resumed run).
-  auto process = [&](size_t i) -> StatusOr<bool> {
-    const int id = static_cast<int>(i);
-    const Matrix& sketch = locals[i].sketch;
-    wire::Message msg;
-    if (options_.quantize && sketch.rows() > 0) {
-      const double precision = SketchRoundingPrecision(
-          cluster.total_rows(), d, options_.eps);
-      DS_ASSIGN_OR_RETURN(QuantizeResult q,
-                          QuantizeMatrix(sketch, precision));
-      DS_ASSIGN_OR_RETURN(
-          msg, wire::QuantizedMessage("local_sketch_q", q,
-                                      cluster.cost_model().bits_per_word()));
-      DS_CHECK(msg.words == cluster.cost_model().BitsToWords(q.total_bits));
-    } else {
-      msg = wire::DenseMessage("local_sketch", sketch);
-      DS_CHECK(msg.words ==
-               cluster.cost_model().MatrixWords(sketch.rows(), d));
-    }
-    // Fault-tolerant runs prepend the 1-word mass report so the
-    // coordinator can widen its bound honestly if this server is lost.
-    ServerSendResult sent = SendWithMassAccounting(
-        cluster, id, kCoordinator, msg, result.degraded, locals[i].mass,
-        /*mass_known_if_lost=*/false, /*prepend_mass_report=*/ft);
-    if (!sent.delivered) return false;
-    // The coordinator merges what it decoded off the wire, not the
-    // sender's in-memory sketch.
+  const double precision =
+      options_.quantize
+          ? SketchRoundingPrecision(cluster.total_rows(), d, options_.eps)
+          : 0.0;
+  TreeReduceHooks hooks;
+  // The coordinator merges what it decoded off the wire (dense or
+  // quantized codec), never the sender's in-memory sketch.
+  hooks.absorb = [&](int node, const std::vector<uint8_t>& payload) -> Status {
     DS_ASSIGN_OR_RETURN(wire::DecodedMatrix received,
-                        wire::DecodeMessagePayload(sent.payload));
-    telemetry::Span merge_span("fd_merge/coordinator_merge",
-                               telemetry::Phase::kCompute);
-    merge_span.SetAttr("server", static_cast<int64_t>(i));
-    merged.AppendRows(received.matrix);
-    return true;
+                        wire::DecodeMessagePayload(payload));
+    FrequentDirections& dst =
+        node == kCoordinator ? merged : *acc[static_cast<size_t>(node)];
+    dst.AppendRows(received.matrix);
+    return Status::OK();
   };
-
+  hooks.make_message = [&](int node) -> StatusOr<wire::Message> {
+    const Matrix sketch = acc[static_cast<size_t>(node)]->Sketch();
+    acc[static_cast<size_t>(node)].reset();
+    if (options_.quantize && sketch.rows() > 0) {
+      DS_ASSIGN_OR_RETURN(QuantizeResult q, QuantizeMatrix(sketch, precision));
+      DS_ASSIGN_OR_RETURN(
+          wire::Message msg,
+          wire::QuantizedMessage("local_sketch_q", q, cost.bits_per_word()));
+      DS_CHECK(msg.words == cost.BitsToWords(q.total_bits));
+      return msg;
+    }
+    wire::Message msg = wire::DenseMessage("local_sketch", sketch);
+    DS_CHECK(msg.words == cost.MatrixWords(sketch.rows(), d));
+    return msg;
+  };
+  hooks.local_mass = LocalRowMass(cluster);
+  hooks.already_absorbed = [&](int node) {
+    return done[static_cast<size_t>(node)] != 0;
+  };
+  // Lost servers stay un-done and are retried by a resumed run, but they
+  // count toward halt_after_servers.
   size_t processed = 0;
-  for (size_t i = 0; i < s; ++i) {
-    if (done[i]) continue;
-    DS_ASSIGN_OR_RETURN(const bool folded, process(i));
-    if (folded) done[i] = 1;
+  hooks.root_settled = [&](int node, bool delivered) -> StatusOr<bool> {
+    if (delivered) done[static_cast<size_t>(node)] = 1;
     ++processed;
     if (options_.checkpoint.enabled()) {
       // Checkpoint the pre-finalization buffer: the final Sketch() call
@@ -208,12 +142,14 @@ StatusOr<SketchProtocolResult> FdMergeProtocol::Run(Cluster& cluster) {
     }
     if (processed >= options_.checkpoint.halt_after_servers) {
       result.halted = true;
-      break;
+      return false;
     }
-  }
+    return true;
+  };
+  DS_RETURN_IF_ERROR(RunTreeReduce(cluster, topo, hooks, result.degraded));
 
   result.sketch = merged.Sketch();
-  result.comm = log.Stats();
+  result.comm = cluster.log().Stats();
   result.sketch_rows = result.sketch.rows();
   return result;
 }

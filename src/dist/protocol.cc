@@ -27,14 +27,9 @@ bool ReportLocalMass(Cluster& cluster, int server, double mass,
 ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
                                         const wire::Message& msg,
                                         DegradedModeInfo& degraded,
-                                        double mass, bool mass_known_if_lost,
-                                        bool prepend_mass_report) {
+                                        double mass, bool mass_known_if_lost) {
   const int server = from == kCoordinator ? to : from;
   ServerSendResult result;
-  if (prepend_mass_report) {
-    if (!ReportLocalMass(cluster, server, mass, degraded)) return result;
-    mass_known_if_lost = true;
-  }
   SendOutcome sent = cluster.Send(from, to, msg);
   if (!sent.delivered) {
     degraded.RecordLoss(server, mass, mass_known_if_lost);

@@ -22,8 +22,8 @@ namespace distsketch {
 ///                          + sum_{i in L} ||A^(i)||_F^2,
 /// and base_bound is monotone in the input mass, so the full-input base
 /// bound plus the lost Frobenius mass is an honest certificate. The mass
-/// terms come from the 1-word "local_mass" reports each server prepends
-/// in fault mode; a server lost before even that report leaves the bound
+/// terms come from the 1-word "local_mass" reports each server sends in
+/// fault mode; a server lost before even that report leaves the bound
 /// unknown (mass_known = false, BoundWidening() = infinity).
 struct DegradedModeInfo {
   /// Ids of permanently lost servers, in loss order.
@@ -80,7 +80,7 @@ struct ServerSendResult {
   std::vector<uint8_t> payload;
 };
 
-/// Sends the 1-word "local_mass" report a server prepends in fault mode
+/// Sends the 1-word "local_mass" report a server sends in fault mode
 /// so the coordinator can widen its bound honestly if the server is
 /// later lost. On loss, records it (mass unknown — the report itself
 /// never arrived) and returns false; the caller skips the server.
@@ -92,10 +92,6 @@ bool ReportLocalMass(Cluster& cluster, int server, double mass,
 /// loss, records the endpoint server in `degraded` with `mass` known iff
 /// `mass_known_if_lost` (round semantics: false before any mass report
 /// has arrived, true once the coordinator holds the server's mass).
-/// With `prepend_mass_report` set (fault-mode uplinks), the 1-word
-/// "local_mass" report is sent first via ReportLocalMass — a loss there
-/// skips the payload entirely, and a payload loss after a delivered
-/// report is recorded with the mass known.
 ///
 /// On delivery the decoded payload bytes are returned; protocols decode
 /// their matrix/scalar from those (receiver-side discipline), never from
@@ -103,8 +99,7 @@ bool ReportLocalMass(Cluster& cluster, int server, double mass,
 ServerSendResult SendWithMassAccounting(Cluster& cluster, int from, int to,
                                         const wire::Message& msg,
                                         DegradedModeInfo& degraded,
-                                        double mass, bool mass_known_if_lost,
-                                        bool prepend_mass_report = false);
+                                        double mass, bool mass_known_if_lost);
 
 /// The guard every row-based protocol runs first: FailedPrecondition on
 /// an additive (arbitrary-partition) cluster, whose local Grams, FD

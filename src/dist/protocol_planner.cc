@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/logging.h"
+#include "common/sketch_size.h"
+#include "sketch/countsketch.h"
+#include "sketch/frequent_directions.h"
 
 namespace distsketch {
 namespace {
@@ -23,21 +27,34 @@ constexpr double kPerMessageOverheadWords = 5.0;
 /// paying once messages are small relative to a round trip.
 constexpr double kRoundOverheadWords = 128.0;
 
+/// CheckedFamilySketchRows as a price: a size past kMaxSketchRows cannot
+/// be built, so it costs infinitely many words.
+double RowsOrInfinity(const std::string& family, double eps, size_t k,
+                      size_t dim) {
+  StatusOr<size_t> rows = CheckedFamilySketchRows(family, eps, k, dim);
+  return rows.ok() ? static_cast<double>(*rows)
+                   : std::numeric_limits<double>::infinity();
+}
+
 }  // namespace
 
-size_t FamilySketchRows(const std::string& family, double eps, size_t k,
-                        size_t dim) {
+StatusOr<size_t> CheckedFamilySketchRows(const std::string& family,
+                                         double eps, size_t k, size_t dim) {
   if (family == "exact_gram") return dim;
-  if (family == "countsketch") {
-    return static_cast<size_t>(std::ceil(4.0 / (eps * eps)));
-  }
+  if (family == "countsketch") return CountSketchCompressor::BucketsFor(eps);
   if (family == "row_sampling") {
-    return static_cast<size_t>(std::ceil(2.0 / (eps * eps)));
+    return SizeFromReal(2.0 / (eps * eps), "row_sampling t = 2/eps^2");
   }
   // fd_merge; svs / adaptive_sketch sample an instance-dependent number
   // of rows, so they report the FD-equivalent l for the table.
-  return k == 0 ? static_cast<size_t>(std::ceil(1.0 / eps)) + 1
-                : k + static_cast<size_t>(std::ceil(k / eps));
+  return FrequentDirections::SketchSizeFor(eps, k);
+}
+
+size_t FamilySketchRows(const std::string& family, double eps, size_t k,
+                        size_t dim) {
+  StatusOr<size_t> rows = CheckedFamilySketchRows(family, eps, k, dim);
+  DS_CHECK(rows.ok());
+  return *rows;
 }
 
 double PredictExactGramWords(size_t s, size_t d) {
@@ -46,8 +63,7 @@ double PredictExactGramWords(size_t s, size_t d) {
 }
 
 double PredictFdMergeWords(size_t s, size_t d, const SketchGoal& goal) {
-  const double l =
-      static_cast<double>(FamilySketchRows("fd_merge", goal.eps, goal.k, d));
+  const double l = RowsOrInfinity("fd_merge", goal.eps, goal.k, d);
   return static_cast<double>(s) * l * static_cast<double>(d);
 }
 
@@ -82,8 +98,7 @@ double PredictAdaptiveWords(size_t s, size_t d, const SketchGoal& goal) {
 }
 
 double PredictCountSketchWords(size_t s, size_t d, const SketchGoal& goal) {
-  const double m =
-      static_cast<double>(FamilySketchRows("countsketch", goal.eps, 0, d));
+  const double m = RowsOrInfinity("countsketch", goal.eps, 0, d);
   return static_cast<double>(s) * m * static_cast<double>(d) +
          static_cast<double>(s);
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <string>
 
+#include "common/status.h"
 #include "dist/merge_topology.h"
 #include "dist/sketch_goal.h"
 #include "sketch/sampling_function.h"
@@ -17,9 +18,15 @@ namespace distsketch {
 /// protocol chooser; they are exposed for tests and the planner bench.
 
 /// Rows (FD l / CountSketch buckets m / expected samples t) of the
-/// family's uplink message at `eps` — the l knob of Table 1 and the one
-/// definition of l = ceil(1/eps)+1 (k = 0), k + ceil(k/eps) (k >= 1) and
-/// m = ceil(4/eps^2) every price and solved config derives from.
+/// family's uplink message at `eps` — the l knob of Table 1. l and m come
+/// from FrequentDirections::SketchSizeFor and CountSketchCompressor::
+/// BucketsFor, so every price, solved config and built sketch shares one
+/// definition. InvalidArgument when the size exceeds kMaxSketchRows
+/// (common/sketch_size.h); the Predict* prices are then infinite.
+StatusOr<size_t> CheckedFamilySketchRows(const std::string& family,
+                                         double eps, size_t k, size_t dim);
+/// CheckedFamilySketchRows for an eps known to give a buildable size (a
+/// fixed workload's, a solved config's); aborts otherwise.
 size_t FamilySketchRows(const std::string& family, double eps, size_t k,
                         size_t dim);
 

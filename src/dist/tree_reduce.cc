@@ -1,9 +1,11 @@
 #include "dist/tree_reduce.h"
 
 #include <cstddef>
+#include <string>
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "linalg/blas.h"
 #include "telemetry/span.h"
 
 namespace distsketch {
@@ -19,9 +21,11 @@ struct NodeState {
   /// retransmit to its live ancestor.
   std::vector<int> contributors;
   /// This node's built uplink, kept alive past its own send so it can be
-  /// replayed verbatim if a downstream ancestor dies.
+  /// replayed verbatim if a downstream ancestor dies; freed once the
+  /// coordinator (which never dies) holds it.
   wire::Message uplink;
-  bool built = false;
+  /// Already held by the coordinator (hooks.already_absorbed).
+  bool skip = false;
   /// Fault-mode bookkeeping.
   double mass = 0.0;
   bool mass_reported = false;
@@ -30,10 +34,16 @@ struct NodeState {
 
 }  // namespace
 
-StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
-                                        const MergeTopology& topology,
-                                        const TreeReduceHooks& hooks,
-                                        DegradedModeInfo& degraded) {
+std::function<double(int node)> LocalRowMass(const Cluster& cluster) {
+  return [&cluster](int node) {
+    return SquaredFrobeniusNorm(
+        cluster.server(static_cast<size_t>(node)).local_rows());
+  };
+}
+
+Status RunTreeReduce(Cluster& cluster, const MergeTopology& topology,
+                     const TreeReduceHooks& hooks,
+                     DegradedModeInfo& degraded) {
   const size_t s = topology.num_servers();
   if (s != cluster.num_servers()) {
     return Status::InvalidArgument(
@@ -45,13 +55,19 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
         "tree_reduce: absorb and make_message hooks are required");
   }
   const bool fault_mode = cluster.fault_mode();
-  if (fault_mode && !hooks.local_mass) {
-    return Status::InvalidArgument(
-        "tree_reduce: local_mass hook is required in fault mode");
-  }
 
-  TreeReduceStats stats;
   std::vector<NodeState> nodes(s);
+  if (hooks.already_absorbed) {
+    for (size_t i = 0; i < s; ++i) {
+      if (!hooks.already_absorbed(static_cast<int>(i))) continue;
+      if (!topology.node(i).children.empty()) {
+        return Status::InvalidArgument(
+            "tree_reduce: interior node " + std::to_string(i) +
+            " cannot be already absorbed");
+      }
+      nodes[i].skip = true;
+    }
+  }
   // First hook/decode error seen anywhere; checked after every phase.
   Status first_error = Status::OK();
   auto note_error = [&](const Status& st) {
@@ -68,7 +84,7 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
 
   // A node's local rows are unrecoverable once its channel is exhausted;
   // record the loss exactly once, with its mass iff the 1-word report
-  // made it to the coordinator first (star-protocol semantics).
+  // made it to the coordinator first.
   auto record_own_loss = [&](int node) {
     NodeState& st = nodes[static_cast<size_t>(node)];
     if (st.loss_recorded) return;
@@ -78,8 +94,9 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
 
   // deliver/reparent are mutually recursive: retransmitting a kept
   // uplink can itself discover further dead nodes. Each discovery marks
-  // one more node lost, so the recursion is bounded by s.
-  std::function<void(int, int)> deliver;
+  // one more node lost, so the recursion is bounded by s. deliver
+  // returns whether `node`'s uplink arrived (at `target` or an ancestor).
+  std::function<bool(int, int)> deliver;
   std::function<void(int)> reparent_contributors;
 
   deliver = [&](int node, int target) {
@@ -88,14 +105,18 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
       SendOutcome out = cluster.Send(node, target, st.uplink);
       if (out.delivered) {
         if (target == kCoordinator) {
+          telemetry::Span span("tree_reduce/coordinator_absorb",
+                               telemetry::Phase::kCompute);
+          span.SetAttr("node", static_cast<int64_t>(node));
           note_error(hooks.absorb(kCoordinator, out.payload));
-          ++stats.coordinator_inbound;
+          // Only uplinks into interior nodes are ever replayed.
+          st.uplink = wire::Message();
         } else {
           NodeState& dst = nodes[static_cast<size_t>(target)];
           dst.inbox.push_back(std::move(out.payload));
           dst.contributors.push_back(node);
         }
-        return;
+        return true;
       }
       if (cluster.ServerLost(node)) {
         // Sender's channel exhausted: node (and only node) is gone. Its
@@ -103,21 +124,20 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
         // uplinks — route those around the corpse.
         record_own_loss(node);
         reparent_contributors(node);
-        return;
+        return false;
       }
       if (target != kCoordinator && cluster.ServerLost(target)) {
         // Interior death discovered by this send: the target's own
         // contribution is accounted at its stage; our payload just
         // climbs to the nearest live ancestor.
         target = first_live_ancestor(target);
-        ++stats.reparented_sends;
         continue;
       }
       // Undelivered with both endpoints live cannot happen under the
       // fault model (loss is permanent); fail safe rather than drop
       // mass silently.
       record_own_loss(node);
-      return;
+      return false;
     }
   };
 
@@ -127,21 +147,18 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     std::vector<int> contributors = std::move(st.contributors);
     st.contributors.clear();
     const int ancestor = first_live_ancestor(node);
-    for (int c : contributors) {
-      ++stats.reparented_sends;
-      deliver(c, ancestor);
-    }
+    for (int c : contributors) deliver(c, ancestor);
   };
 
   // Mass reports go out before any uplink, every node in ascending id
-  // order, exactly like the star protocols: the coordinator learns each
-  // server's 1-word mass while its channel is still young, so a node
-  // that dies stages later widens the bound by a *known* amount. A
-  // report that fails is itself the loss signal (mass unknown), recorded
-  // by ReportLocalMass.
-  if (fault_mode) {
+  // order: the coordinator learns each server's 1-word mass while its
+  // channel is still young, so a node that dies later widens the bound
+  // by a *known* amount. A report that fails is itself the loss signal
+  // (mass unknown), recorded by ReportLocalMass.
+  if (fault_mode && hooks.local_mass) {
     for (size_t i = 0; i < s; ++i) {
       NodeState& st = nodes[i];
+      if (st.skip) continue;
       st.mass = hooks.local_mass(static_cast<int>(i));
       if (ReportLocalMass(cluster, static_cast<int>(i), st.mass, degraded)) {
         st.mass_reported = true;
@@ -166,7 +183,7 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
         stage.size(), [&](size_t i) -> Status {
           const int node = stage[i];
           NodeState& st = nodes[static_cast<size_t>(node)];
-          if (cluster.ServerLost(node)) return Status::OK();
+          if (st.skip || cluster.ServerLost(node)) return Status::OK();
           telemetry::Span node_span("tree_reduce/node_merge",
                                     telemetry::Phase::kCompute);
           node_span.SetAttr("level", static_cast<uint64_t>(level));
@@ -185,7 +202,6 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
                 st.uplink, node,
                 topology.node(static_cast<size_t>(node)).parent);
           }
-          st.built = true;
           return Status::OK();
         });
     for (const auto& st : merge_status) note_error(st);
@@ -194,19 +210,25 @@ StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
     // Transfers stay serial in ascending node order: the transcript (and
     // the per-server fault RNG consumption) is independent of DS_THREADS.
     for (int node : stage) {
-      NodeState& st = nodes[static_cast<size_t>(node)];
+      if (nodes[static_cast<size_t>(node)].skip) continue;
+      const int parent = topology.node(static_cast<size_t>(node)).parent;
+      bool delivered = false;
       if (cluster.ServerLost(node)) {
         // Died before its turn (e.g. as a discovered-dead receiver).
         record_own_loss(node);
         reparent_contributors(node);
-        continue;
+      } else {
+        delivered = deliver(node, parent);
       }
-      deliver(node, topology.node(static_cast<size_t>(node)).parent);
       DS_RETURN_IF_ERROR(first_error);
+      if (parent == kCoordinator && hooks.root_settled) {
+        DS_ASSIGN_OR_RETURN(const bool go_on,
+                            hooks.root_settled(node, delivered));
+        if (!go_on) return Status::OK();
+      }
     }
   }
-  DS_RETURN_IF_ERROR(first_error);
-  return stats;
+  return first_error;
 }
 
 }  // namespace distsketch

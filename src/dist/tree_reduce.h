@@ -25,40 +25,51 @@ struct TreeReduceHooks {
   std::function<Status(int node, const std::vector<uint8_t>& payload)>
       absorb;
   /// Builds `node`'s uplink message from its accumulator (local input
-  /// plus everything absorbed so far). Called on the thread pool.
+  /// plus everything absorbed so far). Called on the thread pool, once
+  /// per node and after the node's last absorb, so it may release the
+  /// accumulator.
   std::function<StatusOr<wire::Message>(int node)> make_message;
   /// `node`'s own local Frobenius mass — the degraded-mode accounting
-  /// unit. Required when the cluster is in fault mode.
+  /// unit. When set and the cluster is in fault mode, every node reports
+  /// it to the coordinator before any uplink; when unset no report is
+  /// sent, and a lost node's mass is recorded unknown.
   std::function<double(int node)> local_mass;
+  /// Optional, caller thread, once per node before any send: true iff
+  /// the coordinator already holds `node`'s contribution (a restored
+  /// checkpoint). Such a node sends nothing — no mass report, no uplink.
+  /// Only leaves may be skipped.
+  std::function<bool(int node)> already_absorbed;
+  /// Optional, caller thread: called once each coordinator-bound uplink
+  /// of the send schedule is settled, delivered or lost. Returning false
+  /// stops the run there (RunTreeReduce returns OK; later nodes send
+  /// nothing).
+  std::function<StatusOr<bool>(int node, bool delivered)> root_settled;
 };
 
-/// Driver-level counters (the CommLog meters the wire itself).
-struct TreeReduceStats {
-  /// Uplink payloads the coordinator absorbed.
-  size_t coordinator_inbound = 0;
-  /// Sends redirected past a dead interior node to a live ancestor.
-  size_t reparented_sends = 0;
-};
+/// The local_mass hook of a row partition: ||A^(i)||_F^2 of the node's
+/// local rows.
+std::function<double(int node)> LocalRowMass(const Cluster& cluster);
 
 /// Runs one reduction over the topology: stage by stage, every live node
 /// absorbs its received payloads and builds its uplink on the thread
 /// pool (per-node isolation keeps the result bit-identical at any
 /// DS_THREADS), then sends serially in ascending node order — so the
 /// wire transcript is a pure function of (data, topology, fault plan).
+/// The paper's star is the one-stage topology; every merge protocol and
+/// topology goes through here.
 ///
-/// Fault handling mirrors the star protocols' degraded mode, extended
-/// with re-parenting: a node whose own channel is exhausted is recorded
+/// Fault handling: a node whose own channel is exhausted is recorded
 /// lost (its local rows are the only unrecoverable contribution), and
 /// every uplink it had already absorbed is retransmitted by its original
 /// sender to the node's nearest live ancestor — recursively, so an
 /// arbitrary set of interior deaths degrades the result by exactly the
 /// lost nodes' local masses. In fault mode each node first reports its
-/// 1-word local mass straight to the coordinator, exactly like the star
-/// protocols, so the widened error bound stays honest.
-StatusOr<TreeReduceStats> RunTreeReduce(Cluster& cluster,
-                                        const MergeTopology& topology,
-                                        const TreeReduceHooks& hooks,
-                                        DegradedModeInfo& degraded);
+/// 1-word local mass straight to the coordinator, all in id order before
+/// any uplink, so a node that dies later widens the bound by a known
+/// amount.
+Status RunTreeReduce(Cluster& cluster, const MergeTopology& topology,
+                     const TreeReduceHooks& hooks,
+                     DegradedModeInfo& degraded);
 
 }  // namespace distsketch
 

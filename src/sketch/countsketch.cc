@@ -1,8 +1,9 @@
 #include "sketch/countsketch.h"
 
-#include <cmath>
+#include <algorithm>
 #include <utility>
 
+#include "common/sketch_size.h"
 #include "linalg/simd_dispatch.h"
 
 namespace distsketch {
@@ -29,13 +30,20 @@ CountSketchCompressor::CountSketchCompressor(size_t buckets, size_t dim,
 
 StatusOr<CountSketchCompressor> CountSketchCompressor::FromEps(
     size_t dim, double eps, uint64_t seed, double oversample) {
+  DS_ASSIGN_OR_RETURN(const size_t m, BucketsFor(eps, oversample));
+  return CountSketchCompressor(m, dim, seed);
+}
+
+StatusOr<size_t> CountSketchCompressor::BucketsFor(double eps,
+                                                   double oversample) {
   if (!(eps > 0.0) || !(oversample > 0.0)) {  // also rejects NaN
     return Status::InvalidArgument(
         "CountSketchCompressor: eps and oversample must be > 0");
   }
-  const size_t m = std::max<size_t>(
-      1, static_cast<size_t>(std::ceil(oversample / (eps * eps))));
-  return CountSketchCompressor(m, dim, seed);
+  DS_ASSIGN_OR_RETURN(const size_t m,
+                      SizeFromReal(oversample / (eps * eps),
+                                   "CountSketch buckets oversample/eps^2"));
+  return std::max<size_t>(1, m);
 }
 
 StatusOr<CountSketchCompressor> CountSketchCompressor::FromState(

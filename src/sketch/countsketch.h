@@ -43,11 +43,13 @@ class CountSketchCompressor {
   CountSketchCompressor(size_t buckets, size_t dim, uint64_t seed);
 
   /// Sizes the compressor for coverr <= eps * ||A||_F^2 (constant
-  /// probability): m = ceil(oversample / eps^2). Requires eps > 0 and
-  /// oversample > 0.
+  /// probability): m = ceil(oversample / eps^2), via BucketsFor.
   static StatusOr<CountSketchCompressor> FromEps(size_t dim, double eps,
                                                  uint64_t seed,
                                                  double oversample = 4.0);
+  /// The m of FromEps: max(1, ceil(oversample / eps^2)). InvalidArgument
+  /// unless eps > 0, oversample > 0 and m <= kMaxSketchRows.
+  static StatusOr<size_t> BucketsFor(double eps, double oversample = 4.0);
 
   /// Rebuilds a compressor from captured state (checkpoint restore /
   /// compact form conversion).

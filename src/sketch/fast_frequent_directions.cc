@@ -25,11 +25,8 @@ StatusOr<FastFrequentDirections> FastFrequentDirections::FromEpsK(
   if (k < 1) {
     return Status::InvalidArgument("FromEpsK: k must be >= 1");
   }
-  if (!(eps > 0.0)) {  // also rejects NaN
-    return Status::InvalidArgument("FromEpsK: eps must be positive");
-  }
-  const size_t sketch_size =
-      k + static_cast<size_t>(std::ceil(static_cast<double>(k) / eps));
+  DS_ASSIGN_OR_RETURN(const size_t sketch_size,
+                      FrequentDirections::SketchSizeFor(eps, k));
   return FastFrequentDirections(dim, sketch_size, seed);
 }
 

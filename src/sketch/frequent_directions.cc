@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "common/sketch_size.h"
 #include "linalg/blas.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/spectral_kernel.h"
@@ -100,27 +101,29 @@ FrequentDirections::FrequentDirections(size_t dim, size_t sketch_size)
   buffer_.Reserve(2 * sketch_size);
 }
 
+StatusOr<size_t> FrequentDirections::SketchSizeFor(double eps, size_t k) {
+  if (!(eps > 0.0)) {  // also rejects NaN
+    return Status::InvalidArgument("FrequentDirections: eps must be positive");
+  }
+  if (k == 0) return SizeFromReal(std::ceil(1.0 / eps) + 1.0, "ceil(1/eps)+1");
+  return SizeFromReal(
+      static_cast<double>(k) + std::ceil(static_cast<double>(k) / eps),
+      "k+ceil(k/eps)");
+}
+
 StatusOr<FrequentDirections> FrequentDirections::FromEpsK(size_t dim,
                                                           double eps,
                                                           size_t k) {
   if (k < 1) {
     return Status::InvalidArgument("FromEpsK: k must be >= 1 (use FromEps)");
   }
-  if (!(eps > 0.0)) {  // also rejects NaN
-    return Status::InvalidArgument("FromEpsK: eps must be positive");
-  }
-  const size_t sketch_size =
-      k + static_cast<size_t>(std::ceil(static_cast<double>(k) / eps));
+  DS_ASSIGN_OR_RETURN(const size_t sketch_size, SketchSizeFor(eps, k));
   return FrequentDirections(dim, sketch_size);
 }
 
 StatusOr<FrequentDirections> FrequentDirections::FromEps(size_t dim,
                                                          double eps) {
-  if (!(eps > 0.0)) {  // also rejects NaN
-    return Status::InvalidArgument("FromEps: eps must be positive");
-  }
-  const size_t sketch_size =
-      static_cast<size_t>(std::ceil(1.0 / eps)) + 1;
+  DS_ASSIGN_OR_RETURN(const size_t sketch_size, SketchSizeFor(eps, 0));
   return FrequentDirections(dim, sketch_size);
 }
 

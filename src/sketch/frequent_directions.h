@@ -88,14 +88,17 @@ class FrequentDirections {
 
   /// Sizes the sketch for the (eps, k) guarantee of Theorem 1:
   /// sketch_size = k + ceil(k/eps), giving covariance error at most
-  /// eps * ||A - [A]_k||_F^2 / k. Requires k >= 1 and eps > 0.
+  /// eps * ||A - [A]_k||_F^2 / k. Requires k >= 1; see SketchSizeFor.
   static StatusOr<FrequentDirections> FromEpsK(size_t dim, double eps,
                                                size_t k);
 
   /// Sizes the sketch for the (eps, 0) guarantee: sketch_size =
   /// ceil(1/eps) + 1, giving covariance error at most eps * ||A||_F^2.
-  /// Requires eps > 0.
   static StatusOr<FrequentDirections> FromEps(size_t dim, double eps);
+  /// The sketch_size of FromEps (k = 0) and FromEpsK (k >= 1) — the one
+  /// definition of l. InvalidArgument unless eps > 0 and l is at most
+  /// kMaxSketchRows (common/sketch_size.h).
+  static StatusOr<size_t> SketchSizeFor(double eps, size_t k);
 
   /// Rebuilds a sketch from captured state (checkpoint restore / compact
   /// form conversion). Validates the shape invariants: buffer column

@@ -22,6 +22,7 @@
 #include "autoconf/config_plan.h"
 #include "autoconf/error_predictor.h"
 #include "autoconf/protocol_factory.h"
+#include "common/sketch_size.h"
 #include "dist/countsketch_protocol.h"
 #include "dist/exact_gram_protocol.h"
 #include "dist/fd_merge_protocol.h"
@@ -241,6 +242,35 @@ TEST(SolverTest, RejectsMalformedInputs) {
   config.family = "fd_merge";
   config.working_eps = std::nan("");
   EXPECT_EQ(BuildProtocol(config, 1).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SolverTest, TinyEpsDropsOversizeCandidates) {
+  // A deterministic goal at eps = 1e-300 used to certify fd_merge with
+  // l = 1 (the size cast wrapped). Every sized family is dropped; only
+  // exact_gram, whose size is d, remains.
+  AutoConfRequest request = BaseRequest();
+  request.goal.eps = 1e-300;
+  request.goal.allow_randomized = false;
+  auto plan = SolveSketchConfig(request, &CommittedPredictor());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  for (const ConfigCandidate& c : plan->ranked) {
+    EXPECT_EQ(c.config.family, "exact_gram");
+    EXPECT_EQ(c.config.sketch_rows, request.shape.dim);
+  }
+  // eps = 1e-12 no longer prices an l = 10^12 + 1 candidate.
+  request.goal.eps = 1e-12;
+  plan = SolveSketchConfig(request, &CommittedPredictor());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  for (const ConfigCandidate& c : plan->ranked) {
+    EXPECT_LE(c.config.sketch_rows, kMaxSketchRows);
+  }
+  // Over an arbitrary partition CountSketch is the only family: with it
+  // dropped, nothing remains.
+  request = BaseRequest();
+  request.goal.eps = 1e-10;
+  request.goal.arbitrary_partition = true;
+  EXPECT_EQ(SolveSketchConfig(request, &CommittedPredictor()).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -76,7 +76,11 @@ struct PinnedRun {
 
 // Captured from the pre-refactor synchronous Cluster::Send path (commit
 // 68a7590) with the seeded workload above. Any drift here means the
-// channel adapter changed an observable transcript.
+// channel adapter changed an observable transcript. Exception: the
+// fault-mode transcript digests of fd_merge and exact_gram were re-pinned
+// (from 0x8d5771dbd8d1c5dc and 0xaeb2f50abdf721a0) when their star moved
+// onto the tree driver, whose mass reports all precede the uplinks; the
+// words, wire bytes, control bytes and sketches did not move.
 const PinnedRun kPins[] = {
     {"fd_merge", false, 0xc4753034a1c6230dull, 2112ull, 17480ull, 0ull,
      0x0dcf00118e432f7dull},
@@ -88,13 +92,13 @@ const PinnedRun kPins[] = {
      0x531714a36a1b9408ull},
     {"row_sampling", false, 0x2e37237af9c3a516ull, 2424ull, 21168ull, 0ull,
      0x92706e644040b951ull},
-    {"fd_merge", true, 0x8d5771dbd8d1c5dcull, 2649ull, 22561ull, 43ull,
+    {"fd_merge", true, 0x02e78bd69705518aull, 2649ull, 22561ull, 43ull,
      0x0dcf00118e432f7dull},
     {"svs", true, 0xfa794e2725642d26ull, 129ull, 2707ull, 86ull,
      0xfd2e474e57b948e0ull},
     {"adaptive_sketch", true, 0xa5fc29b7f6d57929ull, 2167ull, 20219ull, 86ull,
      0x37a98bb41562029dull},
-    {"exact_gram", true, 0xaeb2f50abdf721a0ull, 3009ull, 25421ull, 43ull,
+    {"exact_gram", true, 0x9a83816eb8fcd99eull, 3009ull, 25421ull, 43ull,
      0x531714a36a1b9408ull},
     {"row_sampling", true, 0xc2dd40ddcc9e5801ull, 3557ull, 30751ull, 86ull,
      0x92706e644040b951ull},

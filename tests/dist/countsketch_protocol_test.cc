@@ -407,6 +407,47 @@ TEST(CountSketchProtocolTest, AdditiveLostShareIsUnavailable) {
   }
 }
 
+TEST(CountSketchProtocolTest, AdditiveFaultModeSendsNoMassReports) {
+  // Any loss on an additive cluster is Unavailable, so the 1-word mass
+  // reports of degraded mode would never be read: a fault plan that
+  // never fires must meter exactly like the ideal wire (6 seeds + 6
+  // uplinks of 45 x 6 buckets = 1626 words in 12 messages).
+  const Matrix a = GenerateGaussian(48, 6, 1.0, 8);
+  CountSketchProtocolOptions options;
+  options.eps = 0.3;
+  options.seed = 2;
+  Cluster ideal = MakeAdditive(a, 6, 6, 0.3);
+  auto clean = CountSketchProtocol(options).Run(ideal);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(clean->comm.total_words, 1626u);
+  EXPECT_EQ(clean->comm.num_messages, 12u);
+
+  Cluster faulty = MakeAdditive(a, 6, 6, 0.3);
+  FaultConfig faults;
+  faults.per_server[0].die_at_time = 1e9;  // long after the run
+  faulty.InstallFaultPlan(faults);
+  ASSERT_TRUE(faulty.fault_mode());
+  auto quiet = CountSketchProtocol(options).Run(faulty);
+  ASSERT_TRUE(quiet.ok());
+  EXPECT_EQ(quiet->comm.total_words, clean->comm.total_words);
+  EXPECT_EQ(quiet->comm.num_messages, clean->comm.num_messages);
+  EXPECT_TRUE(quiet->sketch == clean->sketch);
+}
+
+TEST(CountSketchProtocolTest, TinyEpsIsATypedError) {
+  // m = 4/eps^2 overflows the bucket count long before eps reaches 0.
+  const Matrix a = GenerateGaussian(24, 4, 1.0, 3);
+  Cluster cluster =
+      MakeCluster(PartitionRows(a, 3, PartitionScheme::kContiguous));
+  for (const double eps : {1e-9, 1e-10, 1e-300}) {
+    CountSketchProtocolOptions options;
+    options.eps = eps;
+    EXPECT_EQ(CountSketchProtocol(options).Run(cluster).status().code(),
+              StatusCode::kInvalidArgument)
+        << eps;
+  }
+}
+
 TEST(CountSketchProtocolTest, TransientFaultsRecoverTheExactSketch) {
   // Drops, truncations and corruptions are retried: in both partition
   // models the sketch equals the fault-free one bit for bit, and the

@@ -50,6 +50,13 @@ std::vector<ProtocolCase> AllProtocolCases() {
   cases.push_back({"fd_merge", NoisyWorkload(2),
                    std::make_shared<FdMergeProtocol>(
                        FdMergeOptions{.eps = 0.4, .k = 3})});
+  // The §3.3 quantized wire: a make_message choice on the pool.
+  FdMergeOptions quantized;
+  quantized.eps = 0.4;
+  quantized.k = 3;
+  quantized.quantize = true;
+  cases.push_back({"fd_merge_quantized", NoisyWorkload(2),
+                   std::make_shared<FdMergeProtocol>(quantized)});
   cases.push_back({"svs", NoisyWorkload(3),
                    std::make_shared<SvsProtocol>(SvsProtocolOptions{
                        .alpha = 0.15, .delta = 0.05, .seed = 13})});

@@ -3,11 +3,13 @@
 // coordinator loses exactly the dead servers' local rows — nothing more.
 // Integer-valued (+-1) inputs make the additive merges exact, so the
 // degraded tree result must be *bit-identical* to a fault-free run on
-// the same data with the lost shards emptied. Mass accounting follows
-// the star protocols: every node reports its 1-word mass up front, so a
-// node that dies stages later still widens the bound by a known amount.
+// the same data with the lost shards emptied. Mass accounting is the
+// same on every topology, star included: every node reports its 1-word
+// mass up front, so a node that dies later still widens the bound by a
+// known amount.
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -77,6 +79,41 @@ TEST(TreeChaosTest, InteriorDeathLosesExactlyTheDeadNodesRows) {
   // result equals a fault-free run missing only shard 3 — bit for bit
   // (integer data, exact additive merge).
   EXPECT_TRUE(result->sketch == OracleWithout({3}, a, protocol));
+}
+
+// The star is the one-stage topology and runs the same report round:
+// with 12 servers at unit latency the reports occupy t = 0..12 and
+// server 9's uplink goes out at t = 21. Dying at t = 15 loses the uplink
+// but not the report, so the widening is the shard's known mass. (A
+// per-server report sent just before each uplink would have gone out at
+// t = 18, after the death, leaving the mass unknown.)
+TEST(TreeChaosTest, StarDeathAfterReportRoundWidensByKnownMass) {
+  const Matrix a = SignData();
+  FaultConfig config;
+  config.per_server[9].die_at_time = 15.0;
+  config.seed = 5;
+
+  // Star is the default topology.
+  ExactGramProtocol exact_gram;
+  FdMergeOptions fd_options;
+  fd_options.eps = 0.3;
+  FdMergeProtocol fd_merge(fd_options);
+  for (SketchProtocol* protocol :
+       std::vector<SketchProtocol*>{&exact_gram, &fd_merge}) {
+    SCOPED_TRACE(std::string(protocol->Name()));
+    Cluster cluster = MakeCluster(Parts(a));
+    cluster.InstallFaultPlan(config);
+    auto result = protocol->Run(cluster);
+    ASSERT_TRUE(result.ok());
+
+    ASSERT_EQ(result->degraded.lost_servers, std::vector<int>{9});
+    EXPECT_TRUE(result->degraded.mass_known);
+    EXPECT_DOUBLE_EQ(result->degraded.BoundWidening(),
+                     SquaredFrobeniusNorm(Parts(a)[9]));
+    // The coordinator merges the survivors in id order, exactly as a
+    // fault-free run over the data without shard 9.
+    EXPECT_TRUE(result->sketch == OracleWithout({9}, a, *protocol));
+  }
 }
 
 TEST(TreeChaosTest, DeathDuringReportRoundLeavesMassUnknown) {

@@ -20,9 +20,20 @@ TEST(CountSketchTest, Validation) {
   EXPECT_EQ(
       CountSketchCompressor::FromEps(4, 0.2, 1, std::nan("")).status().code(),
       StatusCode::kInvalidArgument);
+  // A tiny but finite eps overflows m = 4/eps^2: at 1e-9 the allocation
+  // used to abort the process, at 1e-10 the cast wrapped to one bucket.
+  EXPECT_EQ(CountSketchCompressor::FromEps(4, 1e-9, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CountSketchCompressor::FromEps(4, 1e-10, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CountSketchCompressor::FromEps(4, 1e-300, 1).status().code(),
+            StatusCode::kInvalidArgument);
   auto c = CountSketchCompressor::FromEps(4, 0.5, 1);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->buckets(), 16u);  // ceil(4 / 0.25)
+  auto coarse = CountSketchCompressor::FromEps(4, 4.0, 1);
+  ASSERT_TRUE(coarse.ok());
+  EXPECT_EQ(coarse->buckets(), 1u);
 }
 
 TEST(CountSketchTest, HashIsDeterministicAndSeedDependent) {

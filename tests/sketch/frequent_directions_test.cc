@@ -23,6 +23,17 @@ TEST(FrequentDirectionsTest, FactoryValidation) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(FrequentDirections::FromEpsK(32, std::nan(""), 2).status().code(),
             StatusCode::kInvalidArgument);
+  // A tiny but finite eps overflows the size cast (it used to give l = 1).
+  EXPECT_EQ(FrequentDirections::FromEps(4, 1e-300).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(FrequentDirections::FromEpsK(4, 1e-300, 3).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(FrequentDirections::FromEps(4, 1e-10).status().code(),
+            StatusCode::kInvalidArgument);
+  // eps >= 1 stays accepted (the FD sweeps run eps = 1).
+  auto coarse = FrequentDirections::FromEps(8, 1.0);
+  ASSERT_TRUE(coarse.ok());
+  EXPECT_EQ(coarse->sketch_size(), 2u);
   auto fd = FrequentDirections::FromEpsK(8, 0.5, 2);
   ASSERT_TRUE(fd.ok());
   // l = k + ceil(k/eps) = 2 + 4.
